@@ -73,6 +73,25 @@ let queue_rates () =
     ("eq_heap_d100k_ns", heap_rate ~depth:100_000 ~iters);
   ]
 
+(* One random key outside a 200k-key tree, inserted and removed again so
+   the tree (and the leaf it lands in) stays the same size across calls. *)
+let btree_insert_random () =
+  let tree = Storage.Btree.Int_tree.create () in
+  for i = 0 to 199_999 do
+    ignore (Storage.Btree.Int_tree.insert tree (2 * i) i)
+  done;
+  let rng = Sim.Rng.create 3L in
+  fun () ->
+    let k = (2 * Sim.Rng.int rng 200_000) + 1 in
+    ignore (Storage.Btree.Int_tree.insert tree k k);
+    ignore (Storage.Btree.Int_tree.remove tree k)
+
+(* A complete small TPC-C database (one warehouse): tables, indexes and the
+   initial population — the set-up every run pays before simulating. *)
+let tpcc_load_small () =
+  let db = Workload.Tpcc_db.create (Storage.Engine.create ()) (Workload.Tpcc_schema.small ~warehouses:1) in
+  Workload.Tpcc_db.load db (Sim.Rng.create 1L)
+
 let tests () =
   let tree = make_btree 100_000 in
   let chain = make_chain 16 in
@@ -99,6 +118,8 @@ let tests () =
   let h100k, h100t = fill_heap 100_000 in
   [
     Test.make ~name:"btree-probe-100k" (Staged.stage (fun () -> Storage.Btree.Int_tree.find tree 55_555));
+    Test.make ~name:"btree-insert-random" (Staged.stage (btree_insert_random ()));
+    Test.make ~name:"tpcc-load-small" (Staged.stage tpcc_load_small);
     Test.make ~name:"version-chain-read-16" (Staged.stage (fun () ->
         Storage.Version.snapshot_read chain ~snapshot:80L ~reader:0));
     Test.make ~name:"histogram-record" (Staged.stage (fun () -> Sim.Histogram.record hist 12345L));

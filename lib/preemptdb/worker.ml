@@ -481,7 +481,8 @@ let execute_op t op k =
   let tcb = Hw.current t.hw in
   tcb.Tcb.rip <- tcb.Tcb.rip + 1;
   if P.is_record_access op then t.record_accesses <- t.record_accesses + 1;
-  if op = P.Yield_hint then t.yield_hints <- t.yield_hints + 1;
+  let yield_hint = match op with P.Yield_hint -> true | _ -> false in
+  if yield_hint then t.yield_hints <- t.yield_hints + 1;
   (* Fault injection: stalls charged only inside non-preemptible regions —
      the worst place to be slow, since deliveries queue behind the region. *)
   (match t.region_stall with
@@ -501,8 +502,7 @@ let execute_op t op k =
     | Config.Cooperative interval when t.record_accesses >= interval ->
       t.record_accesses <- 0;
       maybe_coop_yield t
-    | Config.Cooperative_handcrafted blocks when op = P.Yield_hint && t.yield_hints >= blocks
-      ->
+    | Config.Cooperative_handcrafted blocks when yield_hint && t.yield_hints >= blocks ->
       t.yield_hints <- 0;
       maybe_coop_yield t
     | Config.Cooperative _ | Config.Cooperative_handcrafted _ | Config.Wait

@@ -6,15 +6,19 @@ module type KEY = sig
 end
 
 module Make (K : KEY) = struct
-  (* Exact-size key/value arrays are copied on every structural update; with
-     a fan-out of 32 each copy touches at most a few hundred bytes, which is
-     cheaper than managing capacity slack plus dummy elements. *)
+  (* A leaf keeps its bindings in the live prefix [0, n) of two arrays with
+     [leaf_cap] slots, so an insert or remove shifts entries in place; the
+     one slot beyond [max_leaf] holds the overflowing binding for the moment
+     before a split.  Slots at [n] and beyond are stale and never read.
+     Internal nodes change only on splits and stay exact-size. *)
   let max_leaf = 32
+  let leaf_cap = max_leaf + 1
   let max_sep = 32 (* max separators per internal node; children = max_sep+1 *)
 
   type leaf = {
-    mutable lkeys : K.t array;
-    mutable lvals : int array;
+    mutable lkeys : K.t array;  (* [||] until the first insert, then [leaf_cap] slots *)
+    lvals : int array;
+    mutable n : int;  (* live bindings *)
     mutable next : leaf option;
   }
 
@@ -28,7 +32,8 @@ module Make (K : KEY) = struct
   type t = { mutable root : node; mutable count : int; mutable version : int }
 
   let create () =
-    { root = Leaf { lkeys = [||]; lvals = [||]; next = None }; count = 0; version = 0 }
+    let root = { lkeys = [||]; lvals = Array.make leaf_cap 0; n = 0; next = None } in
+    { root = Leaf root; count = 0; version = 0 }
 
   let length t = t.count
 
@@ -38,9 +43,9 @@ module Make (K : KEY) = struct
 
   let height t = node_height t.root
 
-  (* First index in [keys] whose key is >= k; Array.length keys if none. *)
-  let lower_bound keys k =
-    let lo = ref 0 and hi = ref (Array.length keys) in
+  (* First index in [keys.(0 .. n-1)] whose key is >= k; n if none. *)
+  let lower_bound keys n k =
+    let lo = ref 0 and hi = ref n in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
       if K.compare keys.(mid) k < 0 then lo := mid + 1 else hi := mid
@@ -60,51 +65,56 @@ module Make (K : KEY) = struct
 
   let array_insert a i x =
     let n = Array.length a in
-    Array.init (n + 1) (fun j -> if j < i then a.(j) else if j = i then x else a.(j - 1))
-
-  let array_remove a i =
-    let n = Array.length a in
-    Array.init (n - 1) (fun j -> if j < i then a.(j) else a.(j + 1))
+    let b = Array.make (n + 1) x in
+    Array.blit a 0 b 0 i;
+    Array.blit a i b (i + 1) (n - i);
+    b
 
   let sub a lo len = Array.sub a lo len
 
-  type split = { sep : K.t; right : node }
+  (* What an insert did below a node; only a split allocates. *)
+  type outcome = Inserted | Replaced of int | Split of K.t * node
 
-  let rec insert_node node k v : split option * int option =
+  let split_leaf l =
+    let n = l.n in
+    let mid = n / 2 in
+    let rn = n - mid in
+    let rkeys = Array.make leaf_cap l.lkeys.(mid) and rvals = Array.make leaf_cap 0 in
+    Array.blit l.lkeys mid rkeys 0 rn;
+    Array.blit l.lvals mid rvals 0 rn;
+    let right = { lkeys = rkeys; lvals = rvals; n = rn; next = l.next } in
+    l.n <- mid;
+    l.next <- Some right;
+    Split (rkeys.(0), Leaf right)
+
+  let rec insert_node node k v =
     match node with
     | Leaf l ->
-      let i = lower_bound l.lkeys k in
-      if i < Array.length l.lkeys && K.compare l.lkeys.(i) k = 0 then begin
+      let n = l.n in
+      let i = lower_bound l.lkeys n k in
+      if i < n && K.compare l.lkeys.(i) k = 0 then begin
         let old = l.lvals.(i) in
         l.lvals.(i) <- v;
-        None, Some old
+        Replaced old
       end
       else begin
-        l.lkeys <- array_insert l.lkeys i k;
-        l.lvals <- array_insert l.lvals i v;
-        let n = Array.length l.lkeys in
-        if n <= max_leaf then None, None
-        else begin
-          let mid = n / 2 in
-          let right =
-            { lkeys = sub l.lkeys mid (n - mid); lvals = sub l.lvals mid (n - mid); next = l.next }
-          in
-          l.lkeys <- sub l.lkeys 0 mid;
-          l.lvals <- sub l.lvals 0 mid;
-          l.next <- Some right;
-          Some { sep = right.lkeys.(0); right = Leaf right }, None
-        end
+        if Array.length l.lkeys = 0 then l.lkeys <- Array.make leaf_cap k;
+        Array.blit l.lkeys i l.lkeys (i + 1) (n - i);
+        Array.blit l.lvals i l.lvals (i + 1) (n - i);
+        l.lkeys.(i) <- k;
+        l.lvals.(i) <- v;
+        l.n <- n + 1;
+        if n + 1 <= max_leaf then Inserted else split_leaf l
       end
     | Internal nd ->
       let slot = child_slot nd.seps k in
-      let split, old = insert_node nd.children.(slot) k v in
-      (match split with
-      | None -> None, old
-      | Some { sep; right } ->
+      (match insert_node nd.children.(slot) k v with
+      | (Inserted | Replaced _) as r -> r
+      | Split (sep, right) ->
         nd.seps <- array_insert nd.seps slot sep;
         nd.children <- array_insert nd.children (slot + 1) right;
         let ns = Array.length nd.seps in
-        if ns <= max_sep then None, old
+        if ns <= max_sep then Inserted
         else begin
           (* Promote the middle separator. *)
           let mid = ns / 2 in
@@ -117,49 +127,45 @@ module Make (K : KEY) = struct
           in
           nd.seps <- sub nd.seps 0 mid;
           nd.children <- sub nd.children 0 (mid + 1);
-          Some { sep = promoted; right = Internal right_node }, old
+          Split (promoted, Internal right_node)
         end)
 
   let insert t k v =
-    let split, old = insert_node t.root k v in
-    (match split with
-    | None -> ()
-    | Some { sep; right } ->
-      t.root <- Internal { seps = [| sep |]; children = [| t.root; right |] });
-    (match old with None -> t.count <- t.count + 1 | Some _ -> ());
     t.version <- t.version + 1;
-    old
+    match insert_node t.root k v with
+    | Replaced old -> Some old
+    | Inserted ->
+      t.count <- t.count + 1;
+      None
+    | Split (sep, right) ->
+      t.root <- Internal { seps = [| sep |]; children = [| t.root; right |] };
+      t.count <- t.count + 1;
+      None
 
-  let rec find_node node k =
+  let rec leaf_for node k =
     match node with
-    | Leaf l ->
-      let i = lower_bound l.lkeys k in
-      if i < Array.length l.lkeys && K.compare l.lkeys.(i) k = 0 then Some l.lvals.(i)
-      else None
-    | Internal nd -> find_node nd.children.(child_slot nd.seps k) k
+    | Leaf l -> l
+    | Internal nd -> leaf_for nd.children.(child_slot nd.seps k) k
 
-  let find t k = find_node t.root k
-
-  let rec remove_node node k =
-    match node with
-    | Leaf l ->
-      let i = lower_bound l.lkeys k in
-      if i < Array.length l.lkeys && K.compare l.lkeys.(i) k = 0 then begin
-        let old = l.lvals.(i) in
-        l.lkeys <- array_remove l.lkeys i;
-        l.lvals <- array_remove l.lvals i;
-        Some old
-      end
-      else None
-    | Internal nd -> remove_node nd.children.(child_slot nd.seps k) k
+  let find t k =
+    let l = leaf_for t.root k in
+    let i = lower_bound l.lkeys l.n k in
+    if i < l.n && K.compare l.lkeys.(i) k = 0 then Some l.lvals.(i) else None
 
   let remove t k =
-    match remove_node t.root k with
-    | None -> None
-    | Some old ->
+    let l = leaf_for t.root k in
+    let n = l.n in
+    let i = lower_bound l.lkeys n k in
+    if i < n && K.compare l.lkeys.(i) k = 0 then begin
+      let old = l.lvals.(i) in
+      Array.blit l.lkeys (i + 1) l.lkeys i (n - i - 1);
+      Array.blit l.lvals (i + 1) l.lvals i (n - i - 1);
+      l.n <- n - 1;
       t.count <- t.count - 1;
       t.version <- t.version + 1;
       Some old
+    end
+    else None
 
   let rec leftmost_leaf = function
     | Leaf l -> l
@@ -169,35 +175,25 @@ module Make (K : KEY) = struct
     | Leaf l -> l
     | Internal nd -> rightmost_leaf nd.children.(Array.length nd.children - 1)
 
-  (* Leftmost leaf that can contain a key >= k, with the in-leaf index. *)
-  let rec seek_node node k =
-    match node with
-    | Leaf l -> l, lower_bound l.lkeys k
-    | Internal nd -> seek_node nd.children.(child_slot nd.seps k) k
-
-  (* Skip empty leaves (lazy deletion can empty one out). *)
-  let rec advance leaf idx =
-    match leaf with
-    | None -> None
-    | Some l ->
-      if idx < Array.length l.lkeys then Some (l, idx) else advance l.next 0
-
   let min_binding t =
-    match advance (Some (leftmost_leaf t.root)) 0 with
-    | Some (l, i) -> Some (l.lkeys.(i), l.lvals.(i))
-    | None -> None
+    (* skip leaves that lazy deletion emptied out *)
+    let rec first l =
+      if l.n > 0 then Some (l.lkeys.(0), l.lvals.(0))
+      else match l.next with Some nxt -> first nxt | None -> None
+    in
+    first (leftmost_leaf t.root)
 
   let max_binding t =
     (* The rightmost non-empty leaf is not directly addressable; walk from
        the rightmost and fall back to a scan only in the lazy-deletion edge
        case. *)
     let l = rightmost_leaf t.root in
-    let n = Array.length l.lkeys in
+    let n = l.n in
     if n > 0 then Some (l.lkeys.(n - 1), l.lvals.(n - 1))
     else begin
       let best = ref None in
       let rec walk leaf =
-        let n = Array.length leaf.lkeys in
+        let n = leaf.n in
         if n > 0 then best := Some (leaf.lkeys.(n - 1), leaf.lvals.(n - 1));
         match leaf.next with Some nxt -> walk nxt | None -> ()
       in
@@ -206,68 +202,83 @@ module Make (K : KEY) = struct
     end
 
   let fold_range t ~lo ~hi ~init ~f =
-    let rec loop acc leaf idx =
-      match advance leaf idx with
-      | None -> acc
-      | Some (l, i) ->
+    let rec loop acc l i =
+      if i < l.n then begin
         let k = l.lkeys.(i) in
-        if K.compare k hi > 0 then acc else loop (f acc k l.lvals.(i)) (Some l) (i + 1)
+        if K.compare k hi > 0 then acc else loop (f acc k l.lvals.(i)) l (i + 1)
+      end
+      else match l.next with Some nxt -> loop acc nxt 0 | None -> acc
     in
-    let l, i = seek_node t.root lo in
-    loop init (Some l) i
+    let l = leaf_for t.root lo in
+    loop init l (lower_bound l.lkeys l.n lo)
 
   let iter t f =
-    let rec loop leaf idx =
-      match advance leaf idx with
-      | None -> ()
-      | Some (l, i) ->
-        f l.lkeys.(i) l.lvals.(i);
-        loop (Some l) (i + 1)
+    let rec loop l =
+      for i = 0 to l.n - 1 do
+        f l.lkeys.(i) l.lvals.(i)
+      done;
+      match l.next with Some nxt -> loop nxt | None -> ()
     in
-    loop (Some (leftmost_leaf t.root)) 0
+    loop (leftmost_leaf t.root)
+
+  (* The cursor's position is slot [idx] of [at]; [idx = exhausted] once the
+     scan has run off the chain or past [hi]. *)
+  let exhausted = -1
 
   type cursor = {
     tree : t;
     lo : K.t;
     hi : K.t;
-    mutable pos : (leaf * int) option;
+    mutable at : leaf;
+    mutable idx : int;
     mutable last : K.t option;  (* last returned key, for re-seek *)
     mutable seen_version : int;
   }
 
+  (* Move the cursor to the first live slot at or after slot [i] of [l]. *)
+  let rec settle c l i =
+    if i < l.n then begin
+      c.at <- l;
+      c.idx <- i
+    end
+    else match l.next with Some nxt -> settle c nxt 0 | None -> c.idx <- exhausted
+
+  let seek c k =
+    let l = leaf_for c.tree.root k in
+    settle c l (lower_bound l.lkeys l.n k)
+
   let cursor t ~lo ~hi =
-    let l, i = seek_node t.root lo in
-    { tree = t; lo; hi; pos = advance (Some l) i; last = None; seen_version = t.version }
+    let l = leaf_for t.root lo in
+    let c = { tree = t; lo; hi; at = l; idx = exhausted; last = None; seen_version = t.version } in
+    settle c l (lower_bound l.lkeys l.n lo);
+    c
 
   (* The tree changed under the cursor: restart from just after the last
      returned key (or from lo if nothing was returned yet). *)
   let reseek c =
     c.seen_version <- c.tree.version;
-    let start = match c.last with None -> c.lo | Some k -> k in
-    let l, i = seek_node c.tree.root start in
-    let pos = advance (Some l) i in
-    let pos =
-      match c.last, pos with
-      | Some k, Some (l', i') when K.compare l'.lkeys.(i') k = 0 -> advance (Some l') (i' + 1)
-      | (Some _ | None), pos -> pos
-    in
-    c.pos <- pos
+    match c.last with
+    | None -> seek c c.lo
+    | Some k ->
+      seek c k;
+      if c.idx <> exhausted && K.compare c.at.lkeys.(c.idx) k = 0 then settle c c.at (c.idx + 1)
 
   let cursor_next c =
     if c.seen_version <> c.tree.version then reseek c;
-    match c.pos with
-    | None -> None
-    | Some (l, i) ->
+    if c.idx = exhausted then None
+    else begin
+      let l = c.at and i = c.idx in
       let k = l.lkeys.(i) and v = l.lvals.(i) in
       if K.compare k c.hi > 0 then begin
-        c.pos <- None;
+        c.idx <- exhausted;
         None
       end
       else begin
         c.last <- Some k;
-        c.pos <- advance (Some l) (i + 1);
+        settle c l (i + 1);
         Some (k, v)
       end
+    end
 
   let check_invariants t =
     let fail fmt = Format.kasprintf failwith fmt in
@@ -281,14 +292,16 @@ module Make (K : KEY) = struct
       in
       match node with
       | Leaf l ->
-        if Array.length l.lkeys <> Array.length l.lvals then
-          fail "leaf key/val length mismatch";
-        Array.iteri
-          (fun i k ->
-            if not (in_bounds k) then fail "leaf key out of separator bounds";
-            if i > 0 && K.compare l.lkeys.(i - 1) k >= 0 then fail "leaf keys not sorted")
-          l.lkeys;
-        1, Array.length l.lkeys
+        if l.n < 0 || l.n > max_leaf then fail "leaf holds %d bindings" l.n;
+        if Array.length l.lvals <> leaf_cap then fail "leaf value array lost its capacity";
+        if Array.length l.lkeys <> leaf_cap && not (Array.length l.lkeys = 0 && l.n = 0) then
+          fail "leaf key array lost its capacity";
+        for i = 0 to l.n - 1 do
+          let k = l.lkeys.(i) in
+          if not (in_bounds k) then fail "leaf key out of separator bounds";
+          if i > 0 && K.compare l.lkeys.(i - 1) k >= 0 then fail "leaf keys not sorted"
+        done;
+        1, l.n
       | Internal nd ->
         let ns = Array.length nd.seps in
         if Array.length nd.children <> ns + 1 then fail "internal arity mismatch";
@@ -316,14 +329,14 @@ module Make (K : KEY) = struct
     let chained = ref 0 in
     let prev = ref None in
     let rec follow l =
-      Array.iter
-        (fun k ->
-          (match !prev with
-          | Some p when K.compare p k >= 0 -> fail "leaf chain out of order"
-          | Some _ | None -> ());
-          prev := Some k;
-          incr chained)
-        l.lkeys;
+      for i = 0 to l.n - 1 do
+        let k = l.lkeys.(i) in
+        (match !prev with
+        | Some p when K.compare p k >= 0 -> fail "leaf chain out of order"
+        | Some _ | None -> ());
+        prev := Some k;
+        incr chained
+      done;
       match l.next with Some nxt -> follow nxt | None -> ()
     in
     follow (leftmost_leaf t.root);

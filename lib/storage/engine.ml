@@ -266,18 +266,19 @@ let commit_begin t txn =
      their final commit/abort; an abort on any path must release this. *)
   (match t.durability with Some d -> d.dur_reserve txn | None -> ());
   txn.Txn.state <- Txn.Preparing;
-  let add acc table tuple =
-    let key = (Table.id table, tuple.Tuple.oid) in
-    if List.mem_assoc key acc then acc else (key, tuple) :: acc
-  in
-  let acc = List.fold_left (fun acc w -> add acc w.Txn.wtable w.Txn.wtuple) [] txn.Txn.writes in
+  (* Latch in ascending (table id, oid) order, each record once: one
+     sort that drops duplicate keys instead of a membership scan per entry. *)
+  let acc = List.map (fun w -> Table.id w.Txn.wtable, w.Txn.wtuple) txn.Txn.writes in
   let acc =
     if txn.Txn.iso = Txn.Serializable then
-      List.fold_left (fun acc r -> add acc r.Txn.rtable r.Txn.rtuple) acc txn.Txn.reads
+      List.fold_left (fun acc r -> (Table.id r.Txn.rtable, r.Txn.rtuple) :: acc) acc txn.Txn.reads
     else acc
   in
-  let sorted = List.sort (fun (k1, _) (k2, _) -> compare k1 k2) acc in
-  txn.Txn.latch_plan <- Array.of_list (List.map snd sorted);
+  let by_key (t1, (u1 : Tuple.t)) (t2, (u2 : Tuple.t)) =
+    let c = Int.compare t1 t2 in
+    if c <> 0 then c else Int.compare u1.Tuple.oid u2.Tuple.oid
+  in
+  txn.Txn.latch_plan <- Array.of_list (List.map snd (List.sort_uniq by_key acc));
   txn.Txn.latched <- 0
 
 let commit_latch_next t txn =

@@ -1,6 +1,8 @@
 type t = { oid : int; mutable chain : Version.t option; latch : Latch.t }
 
-let create ~oid = { oid; chain = None; latch = Latch.create ~name:(Printf.sprintf "tuple%d" oid) () }
+(* One latch per record; a constant name keeps formatting off the load and
+   insert paths. *)
+let create ~oid = { oid; chain = None; latch = Latch.create ~name:"tuple" () }
 
 let install t v =
   v.Version.next <- t.chain;

@@ -46,11 +46,47 @@ let validate cfg =
 let district_key ~w ~d = (w lsl d_bits) lor d
 let customer_key ~w ~d ~c = (district_key ~w ~d lsl c_bits) lor c
 
+(* Name-index keys are built on every customer load row, so they avoid
+   Printf; the bytes equal [Printf.sprintf "%04x%01x|%s|%s|%06d"] for the
+   non-negative w, d and c the bit budgets allow. *)
+let hex_digits = "0123456789abcdef"
+
+(* Lowercase hex of [v >= 0], zero-padded to at least [width] digits. *)
+let add_hex buf ~width v =
+  let digits = ref 1 in
+  while !digits < 16 && v lsr (4 * !digits) <> 0 do
+    incr digits
+  done;
+  for _ = !digits + 1 to width do
+    Buffer.add_char buf '0'
+  done;
+  for i = !digits - 1 downto 0 do
+    Buffer.add_char buf hex_digits.[(v lsr (4 * i)) land 15]
+  done
+
+let add_name_prefix buf ~w ~d ~last =
+  add_hex buf ~width:4 w;
+  add_hex buf ~width:1 d;
+  Buffer.add_char buf '|';
+  Buffer.add_string buf last;
+  Buffer.add_char buf '|'
+
 let customer_name_key ~w ~d ~last ~first ~c =
-  Printf.sprintf "%04x%01x|%s|%s|%06d" w d last first c
+  let buf = Buffer.create 48 in
+  add_name_prefix buf ~w ~d ~last;
+  Buffer.add_string buf first;
+  Buffer.add_char buf '|';
+  let cs = string_of_int c in
+  for _ = String.length cs + 1 to 6 do
+    Buffer.add_char buf '0'
+  done;
+  Buffer.add_string buf cs;
+  Buffer.contents buf
 
 let customer_name_prefix ~w ~d ~last =
-  let base = Printf.sprintf "%04x%01x|%s|" w d last in
+  let buf = Buffer.create 32 in
+  add_name_prefix buf ~w ~d ~last;
+  let base = Buffer.contents buf in
   base, base ^ "\xff"
 
 let order_key ~w ~d ~o = (district_key ~w ~d lsl o_bits) lor o

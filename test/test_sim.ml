@@ -153,6 +153,52 @@ let test_rng_alpha_string () =
     String.iter (fun ch -> checkb "letter" true (ch >= 'a' && ch <= 'z')) s
   done
 
+(* Golden vectors: the exact bit stream every seeded run depends on.  A
+   change to the generator's state layout must leave these untouched. *)
+let test_rng_golden () =
+  let r = Rng.create 42L in
+  let a = Rng.next_int64 r in
+  let b = Rng.next_int64 r in
+  let c = Rng.next_int64 r in
+  check Alcotest.(list int64) "next_int64 x3"
+    [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L ] [ a; b; c ];
+  check Alcotest.string "alpha_string" "hiujpjmt" (Rng.alpha_string r ~min_len:8 ~max_len:8);
+  checki "draws" 12 (Rng.draws r);
+  let r = Rng.create 7L in
+  let ints = List.init 6 (fun _ -> Rng.int r 1000) in
+  check Alcotest.(list int) "int" [ 998; 668; 909; 416; 166; 930 ] ints;
+  let ranged = List.init 4 (fun _ -> Rng.int_in r (-5) 5) in
+  check Alcotest.(list int) "int_in" [ -2; 0; 3; 3 ] ranged;
+  let floats = List.init 3 (fun _ -> Rng.float r 1.0) in
+  check Alcotest.(list (float 0.)) "float"
+    [ 0x1.152e2245ac3ecp-1; 0x1.76b61e7123e53p-1; 0x1.e0c019551aeb1p-1 ] floats;
+  let bools = List.init 8 (fun _ -> Rng.bool r) in
+  check Alcotest.(list bool) "bool" [ true; false; true; true; false; true; true; true ] bools;
+  checki "draws after mixed use" 21 (Rng.draws r);
+  let child = Rng.split r in
+  let c1 = Rng.next_int64 child in
+  let c2 = Rng.next_int64 child in
+  let p1 = Rng.next_int64 r in
+  check Alcotest.(list int64) "split child" [ 3114403994891766296L; -4280555996154593734L ] [ c1; c2 ];
+  check64 "split parent" (-6134405593163765443L) p1;
+  checki "child draws" 2 (Rng.draws child);
+  checki "parent draws" 23 (Rng.draws r);
+  let d = Rng.copy r in
+  checki "copy inherits draws" 23 (Rng.draws d);
+  check64 "copy stream" 5184946343219399082L (Rng.next_int64 d);
+  check64 "parent unaffected by copy" 5184946343219399082L (Rng.next_int64 r)
+
+let test_rng_int_allocation_free () =
+  let r = Rng.create 1L in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    acc := !acc + Rng.int r 100
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb "draws landed" true (!acc > 0);
+  check (Alcotest.float 0.) "minor words for 1000 Rng.int draws" 0. words
+
 (* -- Histogram ------------------------------------------------------------ *)
 
 let test_hist_basics () =
@@ -527,6 +573,8 @@ let () =
           Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;
           Alcotest.test_case "errors" `Quick test_rng_errors;
           Alcotest.test_case "alpha strings" `Quick test_rng_alpha_string;
+          Alcotest.test_case "golden vectors" `Quick test_rng_golden;
+          Alcotest.test_case "int draws allocate nothing" `Quick test_rng_int_allocation_free;
         ] );
       ( "histogram",
         [

@@ -308,6 +308,164 @@ let prop_btree_matches_map =
       IT.length t = M.cardinal !reference
       && M.for_all (fun k v -> IT.find t k = Some v) !reference)
 
+(* Model test against Stdlib.Map for both key types: every insert, replace
+   and remove returns what the map says it should, the structure stays
+   valid after every step, and range removals empty whole leaves so the
+   lazy-deletion paths (empty leaves on the chain, stale slots past a
+   leaf's live prefix) are exercised by the final scans. *)
+type model_op = Put of int * int | Del of int | Del_range of int * int
+
+let model_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map2 (fun k v -> Put (k, v)) (int_bound 400) (int_bound 1000));
+        (3, map (fun k -> Del k) (int_bound 400));
+        (1, map2 (fun lo len -> Del_range (lo, len)) (int_bound 400) (int_range 1 120));
+      ])
+
+let model_op_print = function
+  | Put (k, v) -> Printf.sprintf "Put(%d,%d)" k v
+  | Del k -> Printf.sprintf "Del %d" k
+  | Del_range (lo, len) -> Printf.sprintf "Del_range(%d,%d)" lo len
+
+module Model_test (K : sig
+  type t
+
+  val of_int : int -> t
+  val compare : t -> t -> int
+end)
+(T : sig
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+  val insert : t -> K.t -> int -> int option
+  val find : t -> K.t -> int option
+  val remove : t -> K.t -> int option
+  val min_binding : t -> (K.t * int) option
+  val max_binding : t -> (K.t * int) option
+  val fold_range : t -> lo:K.t -> hi:K.t -> init:'a -> f:('a -> K.t -> int -> 'a) -> 'a
+  val iter : t -> (K.t -> int -> unit) -> unit
+  val check_invariants : t -> unit
+end) =
+struct
+  module M = Map.Make (K)
+
+  let run ops =
+    let t = T.create () and m = ref M.empty in
+    let expect what got want = if got <> want then failwith (what ^ " disagrees with Map") in
+    let del k =
+      expect "remove" (T.remove t k) (M.find_opt k !m);
+      m := M.remove k !m;
+      T.check_invariants t
+    in
+    List.iter
+      (fun op ->
+        match op with
+        | Put (k, v) ->
+          let k = K.of_int k in
+          expect "insert" (T.insert t k v) (M.find_opt k !m);
+          m := M.add k v !m;
+          T.check_invariants t;
+          expect "find" (T.find t k) (Some v)
+        | Del k -> del (K.of_int k)
+        | Del_range (lo, len) ->
+          for k = lo to lo + len - 1 do
+            del (K.of_int k)
+          done)
+      ops;
+    let all = ref [] in
+    T.iter t (fun k v -> all := (k, v) :: !all);
+    let lo = K.of_int 100 and hi = K.of_int 300 in
+    let ranged = T.fold_range t ~lo ~hi ~init:[] ~f:(fun acc k v -> (k, v) :: acc) in
+    T.length t = M.cardinal !m
+    && List.rev !all = M.bindings !m
+    && List.rev ranged
+       = List.filter (fun (k, _) -> K.compare lo k <= 0 && K.compare k hi <= 0) (M.bindings !m)
+    && T.min_binding t = M.min_binding_opt !m
+    && T.max_binding t = M.max_binding_opt !m
+    && List.for_all (fun k -> T.find t (K.of_int k) = M.find_opt (K.of_int k) !m)
+         (List.init 401 Fun.id)
+end
+
+module Int_model =
+  Model_test
+    (struct
+      include Int
+
+      let of_int k = k
+    end)
+    (IT)
+
+(* Variable-length keys whose string order differs from the integers'. *)
+module Str_model =
+  Model_test
+    (struct
+      include String
+
+      let of_int k = String.make (1 + (k mod 3)) (Char.chr (Char.code 'a' + (k mod 7))) ^ string_of_int k
+    end)
+    (Btree.Str_tree)
+
+let prop_btree_model name run =
+  QCheck2.Test.make ~name ~count:40 ~print:QCheck2.Print.(list model_op_print)
+    QCheck2.Gen.(list_size (int_range 1 600) model_op_gen)
+    run
+
+(* A cursor parked inside a leaf that then splits (twice) re-seeks from its
+   last key: nothing repeats, every key inserted ahead of it is returned,
+   and a key added between the last one returned and [hi] after the scan
+   ran past [hi] is still picked up. *)
+let test_btree_cursor_reseek_across_splits () =
+  let t = IT.create () in
+  for k = 0 to 99 do
+    ignore (IT.insert t (100 * k) k)
+  done;
+  let c = IT.cursor t ~lo:1000 ~hi:5050 in
+  let next () = Option.map fst (IT.cursor_next c) in
+  Alcotest.(check (option int)) "first" (Some 1000) (next ());
+  Alcotest.(check (option int)) "second" (Some 1100) (next ());
+  (* 70 keys between 1100 and 1200 overflow the cursor's leaf twice *)
+  for k = 1101 to 1170 do
+    ignore (IT.insert t k k)
+  done;
+  (* and some behind the cursor, which it must not return *)
+  for k = 1001 to 1010 do
+    ignore (IT.insert t k k)
+  done;
+  IT.check_invariants t;
+  let rec drain acc = match next () with Some k -> drain (k :: acc) | None -> List.rev acc in
+  let rest = drain [] in
+  let expected = List.init 70 (fun i -> 1101 + i) @ List.init 39 (fun i -> 1200 + (100 * i)) in
+  Alcotest.(check (list int)) "resumes after the last key" expected rest;
+  Alcotest.(check (option int)) "exhausted" None (next ());
+  ignore (IT.insert t 5020 0);
+  Alcotest.(check (option int)) "late insert below hi" (Some 5020) (next ());
+  Alcotest.(check (option int)) "exhausted again" None (next ())
+
+let test_btree_insert_allocation_free () =
+  let t = IT.create () and s = Btree.Str_tree.create () in
+  for k = 0 to 999 do
+    ignore (IT.insert t (2 * k) k);
+    ignore (Btree.Str_tree.insert s (Printf.sprintf "key%04d" (2 * k)) k)
+  done;
+  checkb "multi-level" true (IT.height t > 1);
+  (* Make room in the target leaf, then re-insert: a non-full leaf. *)
+  ignore (IT.remove t 500);
+  ignore (IT.remove t 502);
+  let key = "key0500" in
+  ignore (Btree.Str_tree.remove s key);
+  let before = Gc.minor_words () in
+  let r1 = IT.insert t 500 1 in
+  let r2 = IT.insert t 501 1 in
+  let r3 = Btree.Str_tree.insert s key 1 in
+  let words = Gc.minor_words () -. before in
+  checkb "fresh inserts" true (r1 = None && r2 = None && r3 = None);
+  Alcotest.(check (float 0.)) "minor words for three in-leaf inserts" 0. words;
+  IT.check_invariants t;
+  Btree.Str_tree.check_invariants s
+
 (* -- Engine: basic transaction lifecycle -------------------------------------------- *)
 
 let mk_engine () =
@@ -657,8 +815,19 @@ let () =
           Alcotest.test_case "min/max" `Quick test_btree_min_max;
           Alcotest.test_case "cursor" `Quick test_btree_cursor_plain;
           Alcotest.test_case "cursor survives mutation" `Quick test_btree_cursor_survives_mutation;
+          Alcotest.test_case "cursor reseek across leaf splits" `Quick
+            test_btree_cursor_reseek_across_splits;
+          Alcotest.test_case "insert into a non-full leaf allocates nothing" `Quick
+            test_btree_insert_allocation_free;
         ]
-        @ qsuite [ prop_btree_matches_map ] );
+        @ qsuite
+            [
+              prop_btree_matches_map;
+              prop_btree_model "Int_tree matches Map (insert/replace/remove, emptied leaves)"
+                Int_model.run;
+              prop_btree_model "Str_tree matches Map (insert/replace/remove, emptied leaves)"
+                Str_model.run;
+            ] );
       ( "engine",
         [
           Alcotest.test_case "insert/read/commit" `Quick test_engine_insert_read_commit;

@@ -234,6 +234,21 @@ let test_customer_name_prefix () =
   let k_b = Sc.customer_name_key ~w:1 ~d:2 ~last:"SMITH" ~first:"BOB" ~c:0 in
   checkb "sorted by first name" true (k_a < k_b)
 
+(* The name-index keys are built without Printf; they must stay
+   byte-identical to the format they replaced, or the index order moves. *)
+let prop_customer_name_key_bytes =
+  let name = QCheck2.Gen.(string_size ~gen:(char_range 'A' 'Z') (int_range 0 16)) in
+  (* w, d and c span their key bit budgets: 12, 4 and 17 bits *)
+  QCheck2.Test.make ~name:"customer name keys equal the Printf format" ~count:500
+    QCheck2.Gen.(
+      tup5 (int_range 1 4095) (int_range 1 15) (oneof [ oneofl [ 0; 9; 99_999; 131_071 ]; int_range 0 131_071 ])
+        name name)
+    (fun (w, d, c, last, first) ->
+      let base = Printf.sprintf "%04x%01x|%s|" w d last in
+      Sc.customer_name_key ~w ~d ~last ~first ~c
+      = Printf.sprintf "%04x%01x|%s|%s|%06d" w d last first c
+      && Sc.customer_name_prefix ~w ~d ~last = (base, base ^ "\xff"))
+
 let test_config_validation () =
   checkb "too many warehouses rejected" true
     (match Sc.validate { (Sc.small ~warehouses:5000) with Sc.warehouses = 5000 } with
@@ -695,7 +710,8 @@ let () =
           Alcotest.test_case "new-order oldest first" `Quick test_new_order_bounds_oldest_first;
           Alcotest.test_case "customer name prefix" `Quick test_customer_name_prefix;
           Alcotest.test_case "config validation" `Quick test_config_validation;
-        ] );
+        ]
+        @ qsuite [ prop_customer_name_key_bytes ] );
       ( "tpcc_load",
         [
           Alcotest.test_case "row counts" `Quick test_tpcc_load_counts;
