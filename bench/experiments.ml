@@ -176,7 +176,7 @@ let run_mixed_cached name policy =
   match Hashtbl.find_opt mixed_results name with
   | Some r -> r
   | None ->
-    let r = Runner.run_mixed ~cfg:(cfg_of policy) ~horizon_sec:(scale 0.1) () in
+    let r = Runner.run ~workload:Runner.Mixed ~cfg:(cfg_of policy) ~horizon_sec:(scale 0.1) () in
     Hashtbl.replace mixed_results name r;
     r
 
@@ -236,13 +236,14 @@ let fig8 () =
         { (cfg_of ~workers policy) with Config.lp_queue_size = 8 }
       in
       let base =
-        Runner.run_tpcc ~cfg:(saturated Config.Wait) ~horizon_sec:(scale 0.1) ()
+        Runner.run ~workload:Runner.Tpcc ~cfg:(saturated Config.Wait) ~horizon_sec:(scale 0.1) ()
       in
       let intr_cfg =
         { (saturated (Config.Preempt 1.0)) with Config.empty_interrupts = true }
       in
       let intr =
-        Runner.run_tpcc ~cfg:intr_cfg ~horizon_sec:(scale 0.1) ~empty_interrupt_ticks:1 ()
+        Runner.run ~workload:Runner.Tpcc ~cfg:intr_cfg ~horizon_sec:(scale 0.1)
+          ~empty_interrupt_ticks:1 ()
       in
       record ~experiment:"fig8" ~variant:(Printf.sprintf "w%d-baseline" workers) base;
       record ~experiment:"fig8" ~variant:(Printf.sprintf "w%d-interrupts" workers) intr;
@@ -262,7 +263,7 @@ let tpcc () =
   let cfg =
     { (cfg_of ~workers:8 (Config.Preempt 1.0)) with Config.lp_queue_size = 8 }
   in
-  let r = Runner.run_tpcc ~cfg ~horizon_sec:(scale 0.1) () in
+  let r = Runner.run ~workload:Runner.Tpcc ~cfg ~horizon_sec:(scale 0.1) () in
   record ~experiment:"tpcc" ~variant:"saturated-preempt" r;
   line "  total %.1f kTPS over %.1f virtual ms (8 workers, saturated)"
     (Runner.total_tpcc_ktps r)
@@ -282,7 +283,8 @@ let fig9 () =
       List.iter
         (fun workers ->
           let r =
-            Runner.run_mixed ~cfg:(cfg_of ~workers policy) ~horizon_sec:(scale 0.1) ()
+            Runner.run ~workload:Runner.Mixed ~cfg:(cfg_of ~workers policy)
+              ~horizon_sec:(scale 0.1) ()
           in
           record ~experiment:"fig9" ~variant:(Printf.sprintf "%s-w%d" name workers) r;
           line "  %-22s %-8d %10.2f %10.2f %10.2f" name workers
@@ -329,7 +331,7 @@ let fig11 () =
   header "Figure 11 — cooperative yield interval vs throughput and latency";
   line "  %-22s %12s %10s %12s %12s" "variant" "NO-kTPS" "Q2-kTPS" "NO-p99(us)" "Q2-p99(us)";
   let row name policy =
-    let r = Runner.run_mixed ~cfg:(cfg_of policy) ~horizon_sec:(scale 0.08) () in
+    let r = Runner.run ~workload:Runner.Mixed ~cfg:(cfg_of policy) ~horizon_sec:(scale 0.08) () in
     record ~experiment:"fig11" ~variant:name r;
     line "  %-22s %12.2f %10.2f %12s %12s" name
       (Runner.throughput_ktps r "NewOrder")
@@ -354,7 +356,8 @@ let fig12 () =
     { (cfg_of policy) with Config.hp_queue_size = 100 }
   in
   let run policy =
-    Runner.run_mixed ~cfg:(overload_cfg policy) ~horizon_sec:(scale 0.1) ~hp_batch:1600 ()
+    Runner.run ~workload:Runner.Mixed ~cfg:(overload_cfg policy) ~horizon_sec:(scale 0.1)
+      ~hp_batch:1600 ()
   in
   let row name r =
     record ~experiment:"fig12" ~variant:name r;
@@ -389,7 +392,7 @@ let fig13 () =
           let horizon = scale (Float.max 0.08 (arrival_us /. 1e6 *. 40.)) in
           let workers = 8 in
           let r =
-            Runner.run_mixed ~cfg:(cfg_of ~workers policy)
+            Runner.run ~workload:Runner.Mixed ~cfg:(cfg_of ~workers policy)
               ~arrival_interval_us:arrival_us ~lp_interval_us:1000.
               ~hp_batch:(workers * 2) ~horizon_sec:horizon ()
           in
@@ -410,7 +413,7 @@ let ablation () =
   header "Ablation — mechanism cost sensitivity (16 workers, mixed workload)";
   line "  %-34s %12s %12s %12s" "variant" "NO-p50(us)" "NO-p99(us)" "Q2-p50(us)";
   let run name cfg =
-    let r = Runner.run_mixed ~cfg ~horizon_sec:(scale 0.06) () in
+    let r = Runner.run ~workload:Runner.Mixed ~cfg ~horizon_sec:(scale 0.06) () in
     record ~experiment:"ablation" ~variant:name r;
     line "  %-34s %12s %12s %12s" name
       (opt_us (Runner.latency_us r "NewOrder" ~pct:50.))
@@ -447,7 +450,8 @@ let ablation_regions () =
         Config.regions_enabled;
       }
     in
-    let r, balance = Runner.run_ledger ~cfg ~horizon_sec:(scale 0.08) () in
+    let r = Runner.run ~workload:Runner.Ledger ~cfg ~horizon_sec:(scale 0.08) () in
+    let balance = Option.get r.Runner.balance in
     record ~experiment:"ablation-regions"
       ~variant:(if regions_enabled then "regions-enabled" else "regions-disabled")
       r;
@@ -486,7 +490,7 @@ let multilevel () =
         Config.n_priority_levels = levels;
       }
     in
-    let r = Runner.run_tiered ~cfg ~horizon_sec:(scale 0.08) () in
+    let r = Runner.run ~workload:Runner.Tiered ~cfg ~horizon_sec:(scale 0.08) () in
     record ~experiment:"multilevel" ~variant:(Printf.sprintf "%d-levels" levels) r;
     line "  %-26s %12s %12s %12s %12s" name
       (opt_us (Runner.latency_us r "BalanceCheck" ~pct:50.))
@@ -508,7 +512,8 @@ let htap () =
   line "  %-22s %12s %12s %14s %12s" "policy" "NO-p50(us)" "NO-p99(us)" "CH-aborts" "CHQ1-p50(ms)";
   List.iter
     (fun (name, policy) ->
-      let r = Runner.run_htap ~cfg:(cfg_of ~workers:8 policy) ~horizon_sec:(scale 0.08) () in
+      let r = Runner.run ~workload:Runner.Htap ~cfg:(cfg_of ~workers:8 policy)
+        ~horizon_sec:(scale 0.08) () in
       record ~experiment:"htap" ~variant:name r;
       let ch_aborted =
         List.fold_left
@@ -552,7 +557,7 @@ let resilience () =
     let cfg = cfg_of ~workers:8 (Config.Preempt 1.0) in
     let cfg = if armed then Config.with_resilience cfg else cfg in
     let prepare = if faulty then Some (Faults.Injector.install plan) else None in
-    let r = Runner.run_mixed ~cfg ?prepare ~horizon_sec:(scale 0.08) () in
+    let r = Runner.run ~workload:Runner.Mixed ~cfg ?prepare ~horizon_sec:(scale 0.08) () in
     record ~experiment:"resilience" ~variant:name r;
     line "  %-26s %12s %12.2f %8d %8d %8d %8d %10d/%d" name
       (opt_us (Runner.latency_us r "NewOrder" ~pct:99.))
@@ -614,7 +619,8 @@ let memory () =
       Sim.Des.schedule_after des ~delay:iv sample
     in
     let r =
-      Runner.run_maintenance ~cfg ~prepare ~arrival_interval_us:100. ~horizon_sec:horizon ()
+      Runner.run ~workload:Runner.Maintenance ~cfg ~prepare ~arrival_interval_us:100.
+        ~horizon_sec:horizon ()
     in
     record ~experiment:"memory" ~variant:name r;
     (r, List.rev !series)
@@ -694,7 +700,7 @@ let durability () =
   in
   let run name ~durability =
     let r =
-      Runner.run_mixed ~cfg:(mk_cfg ~durability) ~arrival_interval_us:40.
+      Runner.run ~workload:Runner.Mixed ~cfg:(mk_cfg ~durability) ~arrival_interval_us:40.
         ~horizon_sec:(scale 0.08) ()
     in
     record ~experiment:"durability" ~variant:name r;
@@ -756,7 +762,7 @@ let failover () =
   let horizon = scale 0.08 in
   let run name ~mode ~blocking ?prepare () =
     let r =
-      Runner.run_mixed ~cfg:(mk_cfg ~mode ~blocking) ?prepare
+      Runner.run ~workload:Runner.Mixed ~cfg:(mk_cfg ~mode ~blocking) ?prepare
         ~arrival_interval_us:40. ~horizon_sec:horizon ()
     in
     record ~experiment:"failover" ~variant:name r;
@@ -850,7 +856,7 @@ let failover () =
 let perf () =
   header "Observability — cycle accounting, preemption stages, simulation rate";
   let r =
-    Runner.run_mixed ~cfg:(cfg_of ~workers:8 (Config.Preempt 1.0))
+    Runner.run ~workload:Runner.Mixed ~cfg:(cfg_of ~workers:8 (Config.Preempt 1.0))
       ~horizon_sec:(scale 0.08) ()
   in
   record ~experiment:"perf" ~variant:"mixed-preempt" r;

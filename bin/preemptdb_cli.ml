@@ -475,7 +475,8 @@ let mixed_cmd =
       dur := a.Runner.dur
     in
     let r =
-      Runner.run_mixed ~cfg ~prepare ~arrival_interval_us:arrival ~horizon_sec:horizon ()
+      Runner.run ~workload:Runner.Mixed ~cfg ~prepare ~arrival_interval_us:arrival
+        ~horizon_sec:horizon ()
     in
     print_summary r;
     write_log_artifact dump_log !dur
@@ -496,7 +497,8 @@ let tpcc_cmd =
     let dur = ref None in
     let prepare a = dur := a.Runner.dur in
     let r =
-      Runner.run_tpcc ~cfg ~prepare ~arrival_interval_us:arrival ~horizon_sec:horizon ()
+      Runner.run ~workload:Runner.Tpcc ~cfg ~prepare ~arrival_interval_us:arrival
+        ~horizon_sec:horizon ()
     in
     print_summary r;
     Format.printf "total TPC-C throughput: %.2f kTPS@." (Runner.total_tpcc_ktps r);
@@ -516,7 +518,8 @@ let maintenance_cmd =
        that is the GC-off baseline *)
     let cfg = apply_reclaim cfg reclaim in
     let r =
-      Runner.run_maintenance ~cfg ~arrival_interval_us:arrival ~horizon_sec:horizon ()
+      Runner.run ~workload:Runner.Maintenance ~cfg ~arrival_interval_us:arrival
+        ~horizon_sec:horizon ()
     in
     print_summary r;
     List.iter
@@ -541,7 +544,8 @@ let maintenance_cmd =
 let htap_cmd =
   let run policy workers horizon arrival seed empty_interrupts no_regions =
     let cfg = mk_cfg policy workers seed empty_interrupts no_regions in
-    let r = Runner.run_htap ~cfg ~arrival_interval_us:arrival ~horizon_sec:horizon () in
+    let r = Runner.run ~workload:Runner.Htap ~cfg ~arrival_interval_us:arrival
+      ~horizon_sec:horizon () in
     print_summary r
   in
   Cmd.v
@@ -556,7 +560,8 @@ let tiered_cmd =
     let cfg =
       { base with Config.seed = Int64.of_int seed; n_priority_levels = levels }
     in
-    let r = Runner.run_tiered ~cfg ~arrival_interval_us:arrival ~horizon_sec:horizon () in
+    let r = Runner.run ~workload:Runner.Tiered ~cfg ~arrival_interval_us:arrival
+      ~horizon_sec:horizon () in
     print_summary r
   in
   Cmd.v
@@ -568,9 +573,10 @@ let tiered_cmd =
 let ledger_cmd =
   let run policy workers horizon arrival seed empty_interrupts no_regions =
     let cfg = mk_cfg policy workers seed empty_interrupts no_regions in
-    let r, balance =
-      Runner.run_ledger ~cfg ~arrival_interval_us:arrival ~horizon_sec:horizon ()
+    let r =
+      Runner.run ~workload:Runner.Ledger ~cfg ~arrival_interval_us:arrival ~horizon_sec:horizon ()
     in
+    let balance = Option.get r.Runner.balance in
     print_summary r;
     let expected = Workload.Ledger.default.Workload.Ledger.accounts * 1000 in
     Format.printf "ledger balance: %d (%s)@." balance
@@ -593,7 +599,8 @@ let trace_cmd =
     let cfg = apply_reclaim cfg reclaim in
     let cfg = apply_durability cfg durability in
     let obs = Obs.Sink.create () in
-    let r = Runner.run_mixed ~cfg ~obs ~arrival_interval_us:arrival ~horizon_sec:horizon () in
+    let r = Runner.run ~workload:Runner.Mixed ~cfg ~obs ~arrival_interval_us:arrival
+      ~horizon_sec:horizon () in
     let entries = Obs.Sink.dump obs in
     Obs.Perfetto.write_file ~clock:r.Runner.clock ~path:out entries;
     Format.printf "captured %d events (%d dropped) over %.1f virtual ms@."
@@ -831,7 +838,30 @@ let check_cmd =
   in
   let run fuzz exhaustive selftest determinism durability failover shards replay_file budget
       seed workers horizon_us arrival_us jitter inject_fault faults reclaim out =
-    ignore fuzz;
+    (* A crash grid builds its own configurations and exits when done, so
+       any other mode or option flag would be silently ignored: reject it. *)
+    let grids = [ ("--durability", durability); ("--failover", failover); ("--shards", shards) ] in
+    (match List.find_opt snd grids with
+    | Some (grid, _) -> (
+      let flags =
+        grids
+        @ [
+          ("--reclaim", reclaim);
+          ("--faults", faults <> None);
+          ("--inject-fault", inject_fault);
+          ("--replay", replay_file <> None);
+          ("--fuzz", fuzz);
+          ("--exhaustive", exhaustive);
+          ("--selftest", selftest);
+          ("--determinism", determinism);
+        ]
+      in
+      match List.find_opt (fun (f, on) -> on && f <> grid) flags with
+      | Some (flag, _) ->
+        Format.eprintf "check: %s does not apply to the %s crash grid@." flag grid;
+        exit 2
+      | None -> ())
+    | None -> ());
     if durability then run_durability_fuzz ~budget ~seed ~workers;
     if failover then run_failover_fuzz ~budget ~seed ~workers;
     if shards then run_shard_fuzz ~budget ~seed ~workers;

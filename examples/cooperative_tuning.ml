@@ -13,7 +13,7 @@ module Runner = Preemptdb.Runner
 
 let run policy =
   let cfg = Config.default ~policy ~n_workers:4 () in
-  Runner.run_mixed ~cfg ~horizon_sec:0.03 ()
+  Runner.run ~workload:Runner.Mixed ~cfg ~horizon_sec:0.03 ()
 
 let print_row name r =
   let l label pct = match Runner.latency_us r label ~pct with Some v -> v | None -> nan in

@@ -24,7 +24,7 @@ let () =
   Format.printf
     "running 10ms of preemptive mixed workload with durability armed...@.";
   let r =
-    Runner.run_mixed ~cfg ~prepare ~arrival_interval_us:250. ~horizon_sec:0.01 ()
+    Runner.run ~workload:Runner.Mixed ~cfg ~prepare ~arrival_interval_us:250. ~horizon_sec:0.01 ()
   in
   let d = Option.get !parts in
   let log = d.Runner.dur_log and daemon = d.Runner.dur_daemon in

@@ -18,7 +18,7 @@ let () =
     List.map
       (fun (name, policy) ->
         let cfg = Config.default ~policy ~n_workers:4 () in
-        name, Runner.run_mixed ~cfg ~horizon_sec:0.03 ())
+        name, Runner.run ~workload:Runner.Mixed ~cfg ~horizon_sec:0.03 ())
       [
         "Wait", Config.Wait;
         "Cooperative(10k)", Config.Cooperative 10_000;

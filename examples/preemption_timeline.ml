@@ -16,7 +16,7 @@ let () =
   let obs = Obs.Sink.create ~capacity:200 () in
   let cfg = Config.default ~policy:(Config.Preempt 1.0) ~n_workers:1 () in
   let r =
-    Runner.run_mixed ~cfg ~obs ~arrival_interval_us:500. ~horizon_sec:0.004 ()
+    Runner.run ~workload:Runner.Mixed ~cfg ~obs ~arrival_interval_us:500. ~horizon_sec:0.004 ()
   in
   Format.printf "scheduling timeline (one worker, 4ms of virtual time):@.@.";
   Format.printf "%a@." (Obs.Sink.pp r.Runner.clock) obs;

@@ -22,7 +22,7 @@ let () =
           Config.hp_queue_size = 50;
         }
       in
-      let r = Runner.run_mixed ~cfg ~horizon_sec:0.03 ~hp_batch:400 () in
+      let r = Runner.run ~workload:Runner.Mixed ~cfg ~horizon_sec:0.03 ~hp_batch:400 () in
       let l label pct =
         match Runner.latency_us r label ~pct with Some v -> v | None -> nan
       in

@@ -170,7 +170,7 @@ let run ~cfg ?tpcc_cfg ?tpch_cfg ?(crash_at_us = 0.) ?(crash_seed = 11L)
       a
   in
   let co_result =
-    R.run_mixed ~cfg ?tpcc_cfg ?tpch_cfg ~prepare ~arrival_interval_us ~horizon_sec ()
+    R.run ~workload:R.Mixed ~cfg ?tpcc_cfg ?tpch_cfg ~prepare ~arrival_interval_us ~horizon_sec ()
   in
   let dur = match !parts with Some d -> d | None -> assert false in
   let audits =

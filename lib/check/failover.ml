@@ -183,7 +183,7 @@ let run ~cfg ?tpcc_cfg ?tpch_cfg ?(crash_at_us = 0.) ?(crash_seed = 11L)
       a
   in
   let fv_result =
-    R.run_mixed ~cfg ?tpcc_cfg ?tpch_cfg ~prepare ~arrival_interval_us
+    R.run ~workload:R.Mixed ~cfg ?tpcc_cfg ?tpch_cfg ~prepare ~arrival_interval_us
       ~horizon_sec ()
   in
   let dur = match !dur_parts with Some d -> d | None -> assert false in

@@ -54,14 +54,15 @@ let collect () =
   let cfg policy =
     { (Config.default ~policy ~n_workers:workers ()) with Config.seed = 42L }
   in
-  let preempt = Runner.run_mixed ~cfg:(cfg (Config.Preempt 1.0)) ~horizon_sec () in
-  let wait = Runner.run_mixed ~cfg:(cfg Config.Wait) ~horizon_sec () in
+  let preempt = Runner.run ~workload:Runner.Mixed ~cfg:(cfg (Config.Preempt 1.0))
+    ~horizon_sec () in
+  let wait = Runner.run ~workload:Runner.Mixed ~cfg:(cfg Config.Wait) ~horizon_sec () in
   let dur_cfg =
     Config.with_durability ~durability:Config.default_durability
       (cfg (Config.Preempt 1.0))
   in
   let dur =
-    Runner.run_mixed ~cfg:dur_cfg ~arrival_interval_us:40. ~horizon_sec ()
+    Runner.run ~workload:Runner.Mixed ~cfg:dur_cfg ~arrival_interval_us:40. ~horizon_sec ()
   in
   let commit_wait_p99 (r : Runner.result) =
     match Runner.commit_wait_us r "NewOrder" ~pct:99. with

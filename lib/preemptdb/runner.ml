@@ -121,6 +121,7 @@ type result = {
   stages : Uintr.Stages.t;
   des_max_queue : int;
   wall_s : float;
+  balance : int option;
 }
 
 let throughput_ktps r label =
@@ -217,22 +218,39 @@ type assembly = {
   repl : repl_parts option;
   prof : Obs.Profiler.t;
   mutable sched : Sched_thread.t option;
-      (* set by [finish] so mid-run fault callbacks (primary crash) can
+      (* set by [start] so mid-run fault callbacks (primary crash) can
          halt the scheduling thread *)
+  mutable last_id : int;  (* request ids are per run: 1, 2, ... *)
 }
 
-let assemble ?trace ?obs (cfg : Config.t) =
-  let des = Sim.Des.create ?trace ~seed:cfg.Config.seed () in
+type substrate = {
+  sub_des : Sim.Des.t;
+  sub_fabric : Uintr.Fabric.t;
+  sub_prof : Obs.Profiler.t;
+  sub_first_wid : int;
+}
+
+let substrate ?obs (cfg : Config.t) =
+  let des = Sim.Des.create ~seed:cfg.Config.seed () in
+  {
+    sub_des = des;
+    sub_fabric = Uintr.Fabric.create ?obs des ~costs:cfg.Config.uintr_costs;
+    sub_prof = Obs.Profiler.create ();
+    sub_first_wid = 0;
+  }
+
+let assemble ?obs ?on (cfg : Config.t) =
+  let { sub_des = des; sub_fabric = fabric; sub_prof = prof; sub_first_wid } =
+    match on with Some sub -> sub | None -> substrate ?obs cfg
+  in
   let eng = Storage.Engine.create () in
-  let fabric = Uintr.Fabric.create ?obs des ~costs:cfg.Config.uintr_costs in
   let timeline_window =
     Sim.Clock.cycles_of_us (Sim.Des.clock des) 10_000.  (* 10 ms intervals *)
   in
   let metrics = Metrics.create ~timeline_window () in
-  let prof = Obs.Profiler.create () in
   let workers =
-    Array.init cfg.Config.n_workers (fun id ->
-        Worker.create ?obs ~prof ~des ~cfg ~fabric ~metrics ~eng ~id ())
+    Array.init cfg.Config.n_workers (fun k ->
+        Worker.create ?obs ~prof ~des ~cfg ~fabric ~metrics ~eng ~id:(sub_first_wid + k) ())
   in
   let maint =
     match cfg.Config.reclaim with
@@ -356,7 +374,7 @@ let assemble ?trace ?obs (cfg : Config.t) =
         }
     | _ -> None
   in
-  { des; eng; fabric; metrics; workers; maint; dur; repl; prof; sched = None }
+  { des; eng; fabric; metrics; workers; maint; dur; repl; prof; sched = None; last_id = 0 }
 
 (* Fail-stop the primary node mid-run (the failover scenario's crash
    edge): the group-commit daemon tears, every worker and the scheduling
@@ -391,11 +409,9 @@ let crash_replica (a : assembly) =
     Uintr.Channel.sever r.repl_ack_ch
   | None -> ()
 
-let next_id = ref 0
-
-let fresh_id () =
-  incr next_id;
-  !next_id
+let fresh_id (a : assembly) =
+  a.last_id <- a.last_id + 1;
+  a.last_id
 
 (* The [?maint] argument for {!Sched_thread.create}: the reclaimer paired
    with a GC-chunk request generator (its own seeded random stream, like
@@ -406,7 +422,7 @@ let maint_arg (a : assembly) (cfg : Config.t) =
   | Some r ->
     let gc_rng = Sim.Rng.create (Int64.add cfg.Config.seed 77L) in
     let gen ~submitted_at =
-      Request.make ~id:(fresh_id ()) ~label:"GC" ~priority:Request.Low
+      Request.make ~id:(fresh_id a) ~label:"GC" ~priority:Request.Low
         ~prog:(Maint.Reclaimer.chunk_program r) ~rng:(Sim.Rng.split gc_rng)
         ~submitted_at
     in
@@ -419,7 +435,7 @@ let ckpt_arg (a : assembly) (cfg : Config.t) =
   | Some { dur_ckpt = Some c; _ } ->
     let ck_rng = Sim.Rng.create (Int64.add cfg.Config.seed 79L) in
     let gen ~submitted_at =
-      Request.make ~id:(fresh_id ()) ~label:"Ckpt" ~priority:Request.Low
+      Request.make ~id:(fresh_id a) ~label:"Ckpt" ~priority:Request.Low
         ~prog:(Durability.Checkpoint.chunk_program c)
         ~rng:(Sim.Rng.split ck_rng) ~submitted_at
     in
@@ -434,40 +450,50 @@ let wall_in_runs = ref 0.
 let virtual_us_in_runs = ref 0.
 let perf_totals () = (!wall_in_runs, !virtual_us_in_runs)
 
-let finish (a : assembly) (cfg : Config.t) (sched : Sched_thread.t) ~horizon =
+(* Node start: all bootstrap loading is done, so capture the recovery
+   base image and arm the group-commit daemon before the first
+   transaction runs; the replica seeds from that image, then the shipper,
+   detector and scheduling thread begin. *)
+let start (a : assembly) sched =
   a.sched <- Some sched;
-  (* All bootstrap loading is done: capture the recovery base image and
-     arm the group-commit daemon before the first transaction runs. *)
   (match a.dur with
   | Some d ->
     Durability.Log.snapshot_base d.dur_log a.eng;
     Durability.Daemon.start d.dur_daemon
   | None -> ());
-  (* The replica seeds from the freshly-captured base image, then the
-     shipper and detector loops begin. *)
   (match a.repl with
   | Some r ->
     Replication.Replica.start r.repl_replica;
     Replication.Shipper.start r.repl_shipper;
     Replication.Failure_detector.start r.repl_detector
   | None -> ());
-  Sched_thread.start sched;
+  Sched_thread.start sched
+
+let run_des des ~horizon =
   let t0 = Unix.gettimeofday () in
-  Sim.Des.run ~until:horizon a.des;
+  Sim.Des.run ~until:horizon des;
   let wall_s = Unix.gettimeofday () -. t0 in
   wall_in_runs := !wall_in_runs +. wall_s;
   virtual_us_in_runs :=
-    !virtual_us_in_runs +. Sim.Clock.us_of_cycles (Sim.Des.clock a.des) horizon;
-  (* Close the cycle ledger: whatever a worker did not charge as busy work
-     over the horizon was idle.  After this, each worker's buckets sum to
-     the full horizon — the conservation invariant the profiler exports. *)
+    !virtual_us_in_runs +. Sim.Clock.us_of_cycles (Sim.Des.clock des) horizon;
+  wall_s
+
+(* Close the cycle ledger: whatever a worker did not charge as busy work
+   over the horizon was idle.  After this, each worker's buckets sum to
+   the full horizon — the conservation invariant the profiler exports. *)
+let close_ledger (a : assembly) ~horizon =
   Array.iter
     (fun w ->
       let busy = Int64.of_int (Worker.stats w).Worker.busy_cycles in
       let idle = Int64.to_int (Int64.max 0L (Int64.sub horizon busy)) in
       Obs.Profiler.account (Obs.Profiler.worker a.prof ~wid:(Worker.id w))
         Obs.Profiler.Idle idle)
-    a.workers;
+    a.workers
+
+let finish (a : assembly) (cfg : Config.t) (sched : Sched_thread.t) ~horizon =
+  start a sched;
+  let wall_s = run_des a.des ~horizon in
+  close_ledger a ~horizon;
   let sum f = Array.fold_left (fun acc w -> acc + f w) 0 a.workers in
   {
     cfg;
@@ -600,244 +626,160 @@ let finish (a : assembly) (cfg : Config.t) (sched : Sched_thread.t) ~horizon =
     stages = Uintr.Fabric.stages a.fabric;
     des_max_queue = Sim.Des.max_queue_depth a.des;
     wall_s;
+    balance = None;
   }
 
-let run_mixed ~cfg ?tpcc_cfg ?tpch_cfg ?trace ?obs ?prepare
-    ?(arrival_interval_us = 1000.) ?lp_interval_us ?(horizon_sec = 0.3) ?hp_batch () =
-  let a = assemble ?trace ?obs cfg in
-  let clock = Sim.Des.clock a.des in
-  let load_rng = Sim.Rng.create (Int64.add cfg.Config.seed 1L) in
-  let tpcc_cfg =
-    match tpcc_cfg with
-    | Some c -> c
-    | None -> Tpcc_schema.small ~warehouses:cfg.Config.n_workers
+type workload = Mixed | Tpcc | Htap | Tiered | Ledger | Maintenance
+
+let workload_name = function
+  | Mixed -> "mixed"
+  | Tpcc -> "tpcc"
+  | Htap -> "htap"
+  | Tiered -> "tiered"
+  | Ledger -> "ledger"
+  | Maintenance -> "maintenance"
+
+let run ~workload ~cfg ?tpcc_cfg ?tpch_cfg ?ledger_cfg ?obs ?prepare ?arrival_interval_us
+    ?lp_interval_us ?horizon_sec ?hp_batch ?urgent_batch ?empty_interrupt_ticks () =
+  let reject opt present ok =
+    if present && not ok then
+      invalid_arg
+        (Printf.sprintf "Runner.run: %s does not apply to the %s workload" opt
+           (workload_name workload))
   in
-  let tpch_cfg = match tpch_cfg with Some c -> c | None -> Tpch_schema.default in
-  let tpcc_db = Tpcc_db.create a.eng tpcc_cfg in
-  Tpcc_db.load tpcc_db load_rng;
-  let tpch_db = Tpch_db.create a.eng tpch_cfg in
-  Tpch_db.load tpch_db load_rng;
+  let has = Option.is_some in
+  reject "tpcc_cfg" (has tpcc_cfg) (workload <> Ledger);
+  reject "tpch_cfg" (has tpch_cfg) (workload = Mixed || workload = Tiered);
+  reject "ledger_cfg" (has ledger_cfg) (workload = Ledger);
+  reject "hp_batch" (has hp_batch) (workload <> Tpcc);
+  reject "lp_interval_us" (has lp_interval_us) (workload = Mixed);
+  reject "empty_interrupt_ticks" (has empty_interrupt_ticks) (workload = Tpcc);
+  reject "urgent_batch" (has urgent_batch) (workload = Tiered);
+  let default_interval, default_horizon =
+    match workload with
+    | Mixed -> (1000., 0.3)
+    | Tpcc -> (25., 0.3)
+    | Htap | Tiered | Maintenance -> (1000., 0.1)
+    | Ledger -> (200., 0.05)
+  in
+  let a = assemble ?obs cfg in
+  let clock = Sim.Des.clock a.des in
+  (* Every database loads from one seeded stream, TPC-C before TPC-H. *)
+  let load_rng = Sim.Rng.create (Int64.add cfg.Config.seed 1L) in
+  let load_tpcc () =
+    let c =
+      match tpcc_cfg with
+      | Some c -> c
+      | None -> Tpcc_schema.small ~warehouses:cfg.Config.n_workers
+    in
+    let db = Tpcc_db.create a.eng c in
+    Tpcc_db.load db load_rng;
+    db
+  in
+  let load_tpch () =
+    let db = Tpch_db.create a.eng (Option.value tpch_cfg ~default:Tpch_schema.default) in
+    Tpch_db.load db load_rng;
+    db
+  in
   let gen_rng = Sim.Rng.create (Int64.add cfg.Config.seed 2L) in
-  let warehouses = tpcc_cfg.Tpcc_schema.warehouses in
-  let hp_gen ~submitted_at =
+  let request ~label ~priority ~prog ~rng ~submitted_at =
+    Request.make ~id:(fresh_id a) ~label ~priority ~prog ~rng ~submitted_at
+  in
+  (* TPC-C programs run on the executing worker's warehouse as home. *)
+  let home db f env =
+    f ~home_w:((env.P.worker mod db.Tpcc_db.cfg.Tpcc_schema.warehouses) + 1) env
+  in
+  let new_order_payment db ~submitted_at =
     let rng = Sim.Rng.split gen_rng in
     let kind = if Sim.Rng.bool gen_rng then Tpcc.New_order else Tpcc.Payment in
-    let prog env =
-      Tpcc.program tpcc_db kind ~home_w:((env.P.worker mod warehouses) + 1) env
-    in
-    Request.make ~id:(fresh_id ()) ~label:(Tpcc.kind_to_string kind) ~priority:Request.High
-      ~prog ~rng ~submitted_at
+    request ~label:(Tpcc.kind_to_string kind) ~priority:Request.High
+      ~prog:(home db (Tpcc.program db kind)) ~rng ~submitted_at
   in
-  let lp_gen ~worker:_ ~submitted_at =
+  let q2 db ~worker:_ ~submitted_at =
     let rng = Sim.Rng.split gen_rng in
-    Request.make ~id:(fresh_id ()) ~label:"Q2" ~priority:Request.Low
-      ~prog:(Tpch_q2.random_program tpch_db) ~rng ~submitted_at
-  in
-  let arrival_interval = Sim.Clock.cycles_of_us clock arrival_interval_us in
-  let lp_interval =
-    Option.map (Sim.Clock.cycles_of_us clock) lp_interval_us
-  in
-  (match prepare with Some f -> f a | None -> ());
-  let sched =
-    Sched_thread.create ~des:a.des ~cfg ~fabric:a.fabric ~metrics:a.metrics
-      ~workers:a.workers ?obs ~lp_gen ?maint:(maint_arg a cfg) ?ckpt:(ckpt_arg a cfg) ~hp_gen ?hp_batch
-      ?lp_interval ~arrival_interval ()
-  in
-  finish a cfg sched ~horizon:(Sim.Clock.cycles_of_sec clock horizon_sec)
-
-let run_tpcc ~cfg ?tpcc_cfg ?obs ?prepare ?(horizon_sec = 0.3)
-    ?(arrival_interval_us = 25.) ?(empty_interrupt_ticks = 4) () =
-  let a = assemble ?obs cfg in
-  let clock = Sim.Des.clock a.des in
-  let load_rng = Sim.Rng.create (Int64.add cfg.Config.seed 1L) in
-  let tpcc_cfg =
-    match tpcc_cfg with
-    | Some c -> c
-    | None -> Tpcc_schema.small ~warehouses:cfg.Config.n_workers
-  in
-  let tpcc_db = Tpcc_db.create a.eng tpcc_cfg in
-  Tpcc_db.load tpcc_db load_rng;
-  let gen_rng = Sim.Rng.create (Int64.add cfg.Config.seed 2L) in
-  let warehouses = tpcc_cfg.Tpcc_schema.warehouses in
-  let lp_gen ~worker:_ ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    let kind = Tpcc.standard_mix gen_rng in
-    let prog env =
-      Tpcc.program tpcc_db kind ~home_w:((env.P.worker mod warehouses) + 1) env
-    in
-    Request.make ~id:(fresh_id ()) ~label:(Tpcc.kind_to_string kind) ~priority:Request.Low
-      ~prog ~rng ~submitted_at
-  in
-  let arrival_interval = Sim.Clock.cycles_of_us clock arrival_interval_us in
-  (match prepare with Some f -> f a | None -> ());
-  let sched =
-    Sched_thread.create ~des:a.des ~cfg ~fabric:a.fabric ~metrics:a.metrics
-      ~workers:a.workers ?obs ~lp_gen ?maint:(maint_arg a cfg) ?ckpt:(ckpt_arg a cfg) ~empty_interrupt_ticks
-      ~arrival_interval ()
-  in
-  finish a cfg sched ~horizon:(Sim.Clock.cycles_of_sec clock horizon_sec)
-
-let run_htap ~cfg ?tpcc_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
-    ?(horizon_sec = 0.1) ?hp_batch () =
-  let a = assemble ?obs cfg in
-  let clock = Sim.Des.clock a.des in
-  let load_rng = Sim.Rng.create (Int64.add cfg.Config.seed 1L) in
-  let tpcc_cfg =
-    match tpcc_cfg with
-    | Some c -> c
-    | None -> Tpcc_schema.small ~warehouses:cfg.Config.n_workers
-  in
-  let tpcc_db = Tpcc_db.create a.eng tpcc_cfg in
-  Tpcc_db.load tpcc_db load_rng;
-  let gen_rng = Sim.Rng.create (Int64.add cfg.Config.seed 2L) in
-  let warehouses = tpcc_cfg.Tpcc_schema.warehouses in
-  let hp_gen ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    let kind = if Sim.Rng.bool gen_rng then Tpcc.New_order else Tpcc.Payment in
-    let prog env =
-      Tpcc.program tpcc_db kind ~home_w:((env.P.worker mod warehouses) + 1) env
-    in
-    Request.make ~id:(fresh_id ()) ~label:(Tpcc.kind_to_string kind) ~priority:Request.High
-      ~prog ~rng ~submitted_at
-  in
-  (* Low priority: CH-benCHmark reporting queries over the live TPC-C
-     tables — analytics paused over data being written. *)
-  let lp_gen ~worker:_ ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    let kind = Workload.Ch.random_kind gen_rng in
-    Request.make ~id:(fresh_id ()) ~label:(Workload.Ch.kind_to_string kind)
-      ~priority:Request.Low
-      ~prog:(Workload.Ch.program tpcc_db kind)
-      ~rng ~submitted_at
-  in
-  let arrival_interval = Sim.Clock.cycles_of_us clock arrival_interval_us in
-  (match prepare with Some f -> f a | None -> ());
-  let sched =
-    Sched_thread.create ~des:a.des ~cfg ~fabric:a.fabric ~metrics:a.metrics
-      ~workers:a.workers ?obs ~lp_gen ?maint:(maint_arg a cfg) ?ckpt:(ckpt_arg a cfg) ~hp_gen ?hp_batch
-      ~arrival_interval ()
-  in
-  finish a cfg sched ~horizon:(Sim.Clock.cycles_of_sec clock horizon_sec)
-
-let run_tiered ~cfg ?tpcc_cfg ?tpch_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
-    ?(horizon_sec = 0.1) ?hp_batch ?urgent_batch () =
-  let a = assemble ?obs cfg in
-  let clock = Sim.Des.clock a.des in
-  let load_rng = Sim.Rng.create (Int64.add cfg.Config.seed 1L) in
-  let tpcc_cfg =
-    match tpcc_cfg with
-    | Some c -> c
-    | None -> Tpcc_schema.small ~warehouses:cfg.Config.n_workers
-  in
-  let tpch_cfg = match tpch_cfg with Some c -> c | None -> Tpch_schema.default in
-  let tpcc_db = Tpcc_db.create a.eng tpcc_cfg in
-  Tpcc_db.load tpcc_db load_rng;
-  let tpch_db = Tpch_db.create a.eng tpch_cfg in
-  Tpch_db.load tpch_db load_rng;
-  let gen_rng = Sim.Rng.create (Int64.add cfg.Config.seed 2L) in
-  let warehouses = tpcc_cfg.Tpcc_schema.warehouses in
-  (* High = StockLevel (a mid-length read-only scan, ~100 µs), Urgent = a
-     2 µs balance lookup: the pairing where preempting an in-progress
-     high-priority transaction pays off. *)
-  let hp_gen ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    let prog env =
-      Tpcc.stock_level tpcc_db ~home_w:((env.P.worker mod warehouses) + 1) env
-    in
-    Request.make ~id:(fresh_id ()) ~label:"StockLevel" ~priority:Request.High ~prog ~rng
+    request ~label:"Q2" ~priority:Request.Low ~prog:(Tpch_q2.random_program db) ~rng
       ~submitted_at
   in
-  let urgent_gen ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    let prog env =
-      Tpcc.balance_check tpcc_db ~home_w:((env.P.worker mod warehouses) + 1) env
-    in
-    Request.make ~id:(fresh_id ()) ~label:"BalanceCheck" ~priority:Request.Urgent ~prog
-      ~rng ~submitted_at
+  let hp_gen, lp_gen, urgent_gen, ledger =
+    match workload with
+    | Mixed ->
+      let tpcc = load_tpcc () in
+      let tpch = load_tpch () in
+      (Some (new_order_payment tpcc), Some (q2 tpch), None, None)
+    | Maintenance ->
+      (* No analytics stream: the low-priority level belongs to GC chunks,
+         isolating reclamation's interaction with the latency-critical
+         path over the hot YTD rows. *)
+      (Some (new_order_payment (load_tpcc ())), None, None, None)
+    | Tpcc ->
+      let tpcc = load_tpcc () in
+      let lp ~worker:_ ~submitted_at =
+        let rng = Sim.Rng.split gen_rng in
+        let kind = Tpcc.standard_mix gen_rng in
+        request ~label:(Tpcc.kind_to_string kind) ~priority:Request.Low
+          ~prog:(home tpcc (Tpcc.program tpcc kind)) ~rng ~submitted_at
+      in
+      (None, Some lp, None, None)
+    | Htap ->
+      let tpcc = load_tpcc () in
+      let lp ~worker:_ ~submitted_at =
+        let rng = Sim.Rng.split gen_rng in
+        let kind = Workload.Ch.random_kind gen_rng in
+        request ~label:(Workload.Ch.kind_to_string kind) ~priority:Request.Low
+          ~prog:(Workload.Ch.program tpcc kind) ~rng ~submitted_at
+      in
+      (Some (new_order_payment tpcc), Some lp, None, None)
+    | Tiered ->
+      (* High = StockLevel (a mid-length read-only scan, ~100 µs), urgent =
+         a 2 µs balance lookup: the pairing where preempting an
+         in-progress high-priority transaction pays off. *)
+      let tpcc = load_tpcc () in
+      let tpch = load_tpch () in
+      let hp ~submitted_at =
+        let rng = Sim.Rng.split gen_rng in
+        request ~label:"StockLevel" ~priority:Request.High
+          ~prog:(home tpcc (Tpcc.stock_level tpcc)) ~rng ~submitted_at
+      in
+      let urgent ~submitted_at =
+        let rng = Sim.Rng.split gen_rng in
+        request ~label:"BalanceCheck" ~priority:Request.Urgent
+          ~prog:(home tpcc (Tpcc.balance_check tpcc)) ~rng ~submitted_at
+      in
+      (Some hp, Some (q2 tpch), Some urgent, None)
+    | Ledger ->
+      let l =
+        Workload.Ledger.create a.eng (Option.value ledger_cfg ~default:Workload.Ledger.default)
+      in
+      Workload.Ledger.load l load_rng;
+      let hp ~submitted_at =
+        request ~label:"Transfer" ~priority:Request.High ~prog:(Workload.Ledger.transfer l)
+          ~rng:(Sim.Rng.split gen_rng) ~submitted_at
+      in
+      let lp ~worker:_ ~submitted_at =
+        request ~label:"Audit" ~priority:Request.Low ~prog:(Workload.Ledger.audit l)
+          ~rng:(Sim.Rng.split gen_rng) ~submitted_at
+      in
+      (Some hp, Some lp, None, Some l)
   in
-  let lp_gen ~worker:_ ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    Request.make ~id:(fresh_id ()) ~label:"Q2" ~priority:Request.Low
-      ~prog:(Tpch_q2.random_program tpch_db) ~rng ~submitted_at
+  let arrival_interval =
+    Sim.Clock.cycles_of_us clock (Option.value arrival_interval_us ~default:default_interval)
   in
-  let arrival_interval = Sim.Clock.cycles_of_us clock arrival_interval_us in
+  (match prepare with Some f -> f a | None -> ());
   (* Urgent lookups arrive on their own, 4x denser cadence in small
      batches, so most land while a StockLevel batch is in progress. *)
-  let urgent_interval = Int64.div arrival_interval 4L in
-  let urgent_batch =
-    match urgent_batch with Some b -> b | None -> cfg.Config.n_workers * 2
-  in
-  (match prepare with Some f -> f a | None -> ());
   let sched =
-    Sched_thread.create ~des:a.des ~cfg ~fabric:a.fabric ~metrics:a.metrics
-      ~workers:a.workers ?obs ~lp_gen ?maint:(maint_arg a cfg) ?ckpt:(ckpt_arg a cfg) ~hp_gen ?hp_batch
-      ~urgent_gen ~urgent_batch ~urgent_interval ~arrival_interval ()
-  in
-  finish a cfg sched ~horizon:(Sim.Clock.cycles_of_sec clock horizon_sec)
-
-let run_ledger ~cfg ?(ledger_cfg = Workload.Ledger.default) ?obs ?prepare
-    ?(arrival_interval_us = 200.) ?(horizon_sec = 0.05) ?hp_batch () =
-  let a = assemble ?obs cfg in
-  let clock = Sim.Des.clock a.des in
-  let ledger = Workload.Ledger.create a.eng ledger_cfg in
-  Workload.Ledger.load ledger (Sim.Rng.create (Int64.add cfg.Config.seed 1L));
-  let gen_rng = Sim.Rng.create (Int64.add cfg.Config.seed 2L) in
-  let hp_gen ~submitted_at =
-    Request.make ~id:(fresh_id ()) ~label:"Transfer" ~priority:Request.High
-      ~prog:(Workload.Ledger.transfer ledger)
-      ~rng:(Sim.Rng.split gen_rng) ~submitted_at
-  in
-  let lp_gen ~worker:_ ~submitted_at =
-    Request.make ~id:(fresh_id ()) ~label:"Audit" ~priority:Request.Low
-      ~prog:(Workload.Ledger.audit ledger)
-      ~rng:(Sim.Rng.split gen_rng) ~submitted_at
-  in
-  let arrival_interval = Sim.Clock.cycles_of_us clock arrival_interval_us in
-  (match prepare with Some f -> f a | None -> ());
-  let sched =
-    Sched_thread.create ~des:a.des ~cfg ~fabric:a.fabric ~metrics:a.metrics
-      ~workers:a.workers ?obs ~lp_gen ?maint:(maint_arg a cfg) ?ckpt:(ckpt_arg a cfg) ~hp_gen ?hp_batch
+    Sched_thread.create ~des:a.des ~cfg ~fabric:a.fabric ~metrics:a.metrics ~workers:a.workers
+      ?obs ?lp_gen ?maint:(maint_arg a cfg) ?ckpt:(ckpt_arg a cfg) ?hp_gen ?hp_batch ?urgent_gen
+      ~urgent_batch:(Option.value urgent_batch ~default:(cfg.Config.n_workers * 2))
+      ~urgent_interval:(Int64.div arrival_interval 4L)
+      ~empty_interrupt_ticks:
+        (Option.value empty_interrupt_ticks ~default:(if workload = Tpcc then 4 else 1))
+      ?lp_interval:(Option.map (Sim.Clock.cycles_of_us clock) lp_interval_us)
       ~arrival_interval ()
   in
-  let result = finish a cfg sched ~horizon:(Sim.Clock.cycles_of_sec clock horizon_sec) in
-  result, Workload.Ledger.total_balance ledger
-
-let run_maintenance ~cfg ?tpcc_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
-    ?(horizon_sec = 0.1) ?hp_batch () =
-  let a = assemble ?obs cfg in
-  let clock = Sim.Des.clock a.des in
-  let load_rng = Sim.Rng.create (Int64.add cfg.Config.seed 1L) in
-  let tpcc_cfg =
-    match tpcc_cfg with
-    | Some c -> c
-    | None -> Tpcc_schema.small ~warehouses:cfg.Config.n_workers
-  in
-  let tpcc_db = Tpcc_db.create a.eng tpcc_cfg in
-  Tpcc_db.load tpcc_db load_rng;
-  let gen_rng = Sim.Rng.create (Int64.add cfg.Config.seed 2L) in
-  let warehouses = tpcc_cfg.Tpcc_schema.warehouses in
-  (* High priority only: NewOrder + Payment hammering the warehouse /
-     district / customer YTD rows, whose chains grow with every commit.
-     No analytics stream — the low-priority level belongs to GC chunks,
-     so this driver isolates reclamation's interaction with the
-     latency-critical path. *)
-  let hp_gen ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    let kind = if Sim.Rng.bool gen_rng then Tpcc.New_order else Tpcc.Payment in
-    let prog env =
-      Tpcc.program tpcc_db kind ~home_w:((env.P.worker mod warehouses) + 1) env
-    in
-    Request.make ~id:(fresh_id ()) ~label:(Tpcc.kind_to_string kind) ~priority:Request.High
-      ~prog ~rng ~submitted_at
-  in
-  let arrival_interval = Sim.Clock.cycles_of_us clock arrival_interval_us in
-  (match prepare with Some f -> f a | None -> ());
-  let sched =
-    Sched_thread.create ~des:a.des ~cfg ~fabric:a.fabric ~metrics:a.metrics
-      ~workers:a.workers ?obs ?maint:(maint_arg a cfg) ?ckpt:(ckpt_arg a cfg) ~hp_gen ?hp_batch
-      ~arrival_interval ()
-  in
-  finish a cfg sched ~horizon:(Sim.Clock.cycles_of_sec clock horizon_sec)
+  let horizon_sec = Option.value horizon_sec ~default:default_horizon in
+  let r = finish a cfg sched ~horizon:(Sim.Clock.cycles_of_sec clock horizon_sec) in
+  { r with balance = Option.map Workload.Ledger.total_balance ledger }
 
 let tpcc_labels =
   [ "NewOrder"; "Payment"; "OrderStatus"; "Delivery"; "StockLevel" ]

@@ -1,13 +1,14 @@
-(** End-to-end experiment driver: build an engine, load the workload
-    databases, wire up the simulation (fabric, workers, scheduling thread),
-    run for a virtual horizon, and collect results.
+(** End-to-end experiment driver: build a node (engine, fabric, workers,
+    and whichever of reclamation, durability and replication the config
+    arms), load the workload databases, drive it from a scheduling thread
+    for a virtual horizon, and collect results.
 
-    Two workload assemblies cover the paper's evaluation:
-    - {!run_mixed} — the target mixed workload (§6.1): TPC-H Q2 as the
-      long-running low-priority transaction, TPC-C NewOrder + Payment as
-      the short high-priority ones;
-    - {!run_tpcc} — the full five-transaction TPC-C mix, all low-priority
-      (the Fig. 8 overhead experiment). *)
+    There is one way to build a node, {!assemble}, and one run entry
+    point, {!run}, over the six standard workloads ({!workload}).  Custom
+    drivers (the checking harness, the benchmark, {!Shard.Cluster}) use
+    the pieces {!run} is made of: {!assemble}, then their own loaders and
+    generators, then {!finish} — or, for several nodes on one simulation,
+    {!start} each node, {!run_des} once and {!close_ledger} each node. *)
 
 type worker_totals = {
   passive_switches : int;
@@ -146,6 +147,10 @@ type result = {
           senduipi → delivery → recognition → switch → resume *)
   des_max_queue : int;  (** event-queue high-water mark *)
   wall_s : float;  (** wall-clock seconds spent inside [Sim.Des.run] *)
+  balance : int option;
+      (** the ledger workload's post-run total balance, which every
+          committed transaction conserves (initial: accounts × 1000);
+          [None] for the other workloads *)
 }
 
 (** The durability subsystem's live parts, built iff [cfg.durability] is
@@ -175,10 +180,9 @@ type repl_parts = {
       (** present iff [rp_failover] *)
 }
 
-(** The wired-up simulation before any workload is attached: DES, engine,
-    uintr fabric, metrics and workers.  {!assemble} builds it; callers
-    (the standard [run_*] drivers below, the correctness-checking harness
-    in {e lib/check}, custom experiments) load databases, create a
+(** The wired-up node before any workload is attached: DES, engine, uintr
+    fabric, metrics and workers, plus the optional subsystems.
+    {!assemble} builds it; callers load databases, create a
     {!Sched_thread} with their generators, then {!finish}. *)
 type assembly = {
   des : Sim.Des.t;
@@ -191,20 +195,43 @@ type assembly = {
           tables) iff [cfg.reclaim] is set *)
   dur : dur_parts option;
   repl : repl_parts option;
-  prof : Obs.Profiler.t;  (** shared cycle-accounting profiler, one per run *)
+  prof : Obs.Profiler.t;  (** shared cycle-accounting profiler *)
   mutable sched : Sched_thread.t option;
-      (** set by {!finish} before the run starts, so mid-run fault
+      (** set by {!start} before the run starts, so mid-run fault
           callbacks can halt the scheduling thread *)
+  mutable last_id : int;
+      (** last request id {!fresh_id} handed out; ids are per node and
+          start at 1, so a run's ids do not depend on earlier runs *)
 }
 
-val assemble : ?trace:Sim.Trace.t -> ?obs:Obs.Sink.t -> Config.t -> assembly
-(** Create the DES (seeded from [cfg.seed]), engine, fabric and
-    [cfg.n_workers] workers (each registered in the fabric's UITT).
+(** What several nodes on one simulation share: the DES (one virtual
+    clock, one event queue), the uintr fabric (one UITT), the
+    cycle-accounting profiler, and the id of the node's first worker
+    (worker ids must be unique across the fabric). *)
+type substrate = {
+  sub_des : Sim.Des.t;
+  sub_fabric : Uintr.Fabric.t;
+  sub_prof : Obs.Profiler.t;
+  sub_first_wid : int;
+}
 
-    The [?prepare] hook of the [run_*] drivers below receives this
-    assembly after workload loading and before the scheduling thread
-    starts — the seam where the fault injector ({e lib/faults}) and the
-    checking harness attach to the fabric and workers. *)
+val substrate : ?obs:Obs.Sink.t -> Config.t -> substrate
+(** A fresh substrate: DES seeded from [cfg.seed], a fabric with
+    [cfg.uintr_costs] (emitting on [obs]), a profiler, first worker id 0. *)
+
+val assemble : ?obs:Obs.Sink.t -> ?on:substrate -> Config.t -> assembly
+(** Build one node on [on] (default: a fresh {!substrate}): an engine,
+    [cfg.n_workers] workers (ids [on.sub_first_wid + k], each registered
+    in the fabric's UITT), and the reclamation, durability (with
+    checkpoints) and replication subsystems iff [cfg] arms them.
+
+    The [?prepare] hook of {!run} receives this assembly after workload
+    loading and before the scheduling thread starts — the seam where the
+    fault injector ({e lib/faults}) and the checking harness attach to
+    the fabric and workers. *)
+
+val fresh_id : assembly -> int
+(** The node's next request id. *)
 
 val crash_primary : assembly -> rng:Sim.Rng.t -> unit
 (** Fail-stop the primary node mid-run (the failover scenario): tear the
@@ -220,16 +247,28 @@ val crash_replica : assembly -> unit
     channels.  In semi-sync the primary's degrade watchdog later releases
     the gated commit waiters.  No-op without replication. *)
 
+val start : assembly -> Sched_thread.t -> unit
+(** Node start: record [sched] as the node's scheduling thread, capture the
+    recovery base image and start the group-commit daemon, seed and start
+    the standby, shipper and failure detector, then start [sched].  Call
+    once all bootstrap loading is done. *)
+
+val run_des : Sim.Des.t -> horizon:int64 -> float
+(** Run the DES to [horizon] (virtual cycles) and return the wall-clock
+    seconds it took; both are added to {!perf_totals}. *)
+
+val close_ledger : assembly -> horizon:int64 -> unit
+(** Close the profiler's cycle ledger for the node's workers: account
+    [horizon - busy] as idle, so each worker's buckets sum to the
+    horizon. *)
+
 val finish : assembly -> Config.t -> Sched_thread.t -> horizon:int64 -> result
-(** Start the scheduling thread, run the DES to [horizon] (virtual
-    cycles), and collect the run's totals.  Also closes the profiler's
-    cycle ledger (accounting [horizon - busy] as idle per worker) and
-    measures the wall-clock time of the run. *)
+(** {!start}, {!run_des}, {!close_ledger}, then collect the run's totals. *)
 
 val perf_totals : unit -> float * float
 (** [(wall_seconds, virtual_microseconds)] accumulated across every
-    {!finish} in this process — the bench driver diffs successive readings
-    to report a per-experiment simulation rate. *)
+    {!run_des} in this process — the bench driver diffs successive
+    readings to report a per-experiment simulation rate. *)
 
 val throughput_ktps : result -> string -> float
 val latency_us : result -> string -> pct:float -> float option
@@ -239,105 +278,65 @@ val geomean_latency_us : result -> string -> float option
 val commit_wait_us : result -> string -> pct:float -> float option
 (** Durability commit-wait percentile (publish → ack) in µs. *)
 
-val run_mixed :
+(** The standard workloads.  High-priority requests run on the executing
+    worker's warehouse as home.
+    - [Mixed] — the target mixed workload (§6.1): TPC-H Q2 low priority,
+      a 50/50 TPC-C NewOrder/Payment mix high priority.  Defaults: 1 ms
+      arrival interval, 0.3 virtual seconds.
+    - [Tpcc] — the full five-transaction TPC-C mix, all low priority
+      (the Fig. 8 overhead experiment).  Pair with
+      [cfg.empty_interrupts = true] to measure the uintr machinery as pure
+      overhead; empty interrupts fire every [empty_interrupt_ticks]
+      arrival ticks (default 4 here).  Defaults: 25 µs, 0.3 s.
+    - [Htap] — same-table HTAP: CH-benCHmark reporting queries (low) over
+      the live TPC-C tables that NewOrder/Payment (high) mutate —
+      analytics paused over data being written, relying on snapshot
+      isolation exactly as §1.2 argues.  Defaults: 1 ms, 0.1 s.
+    - [Tiered] — the §5 multi-level extension: Q2 low, StockLevel high,
+      BalanceCheck urgent (batches of [urgent_batch], default workers × 2,
+      every quarter arrival interval).  With [cfg.n_priority_levels >= 3]
+      urgent requests preempt in-progress StockLevels on a third context;
+      with 2 they merge into the high-priority queue.  Defaults: 1 ms,
+      0.1 s.
+    - [Ledger] — serializable ledger ("Audit" low, "Transfer" high): the
+      read-set-latching regime where non-preemptible regions matter
+      (§4.4).  The result's [balance] is set.  Defaults: 200 µs, 0.05 s.
+    - [Maintenance] — the memory-footprint workload: high-priority
+      NewOrder/Payment only (hot YTD rows grow a version per commit), so
+      GC chunks own the low-priority level when [cfg.reclaim] is set.
+      Defaults: 1 ms, 0.1 s. *)
+type workload = Mixed | Tpcc | Htap | Tiered | Ledger | Maintenance
+
+val run :
+  workload:workload ->
   cfg:Config.t ->
   ?tpcc_cfg:Workload.Tpcc_schema.config ->
   ?tpch_cfg:Workload.Tpch_schema.config ->
-  ?trace:Sim.Trace.t ->
+  ?ledger_cfg:Workload.Ledger.config ->
   ?obs:Obs.Sink.t ->
   ?prepare:(assembly -> unit) ->
   ?arrival_interval_us:float ->
   ?lp_interval_us:float ->
   ?horizon_sec:float ->
   ?hp_batch:int ->
-  unit ->
-  result
-(** Defaults: scaled-down TPC-C ({!Workload.Tpcc_schema.small} with one
-    warehouse per worker) and TPC-H ({!Workload.Tpch_schema.default}),
-    1 ms arrival interval, 0.3 virtual seconds, batch = workers × hp-queue
-    size.  High-priority requests are a 50/50 NewOrder/Payment mix with the
-    executing worker's warehouse as home; low-priority requests are Q2 with
-    random parameters. *)
-
-val run_tpcc :
-  cfg:Config.t ->
-  ?tpcc_cfg:Workload.Tpcc_schema.config ->
-  ?obs:Obs.Sink.t ->
-  ?prepare:(assembly -> unit) ->
-  ?horizon_sec:float ->
-  ?arrival_interval_us:float ->
+  ?urgent_batch:int ->
   ?empty_interrupt_ticks:int ->
   unit ->
   result
-(** Full TPC-C mix on the regular path only.  Pair with
-    [cfg.empty_interrupts = true] to measure the uintr machinery as pure
-    overhead (Fig. 8); empty interrupts fire every [empty_interrupt_ticks]
-    arrival ticks (default 4, i.e. every 100 µs at the default 25 µs
-    arrival interval). *)
-
-val run_htap :
-  cfg:Config.t ->
-  ?tpcc_cfg:Workload.Tpcc_schema.config ->
-  ?obs:Obs.Sink.t ->
-  ?prepare:(assembly -> unit) ->
-  ?arrival_interval_us:float ->
-  ?horizon_sec:float ->
-  ?hp_batch:int ->
-  unit ->
-  result
-(** Same-table HTAP: CH-benCHmark reporting queries (low priority) over
-    the live TPC-C tables that NewOrder/Payment (high priority) mutate —
-    analytics are paused over data being written, relying on snapshot
-    isolation exactly as §1.2 argues. *)
-
-val run_tiered :
-  cfg:Config.t ->
-  ?tpcc_cfg:Workload.Tpcc_schema.config ->
-  ?tpch_cfg:Workload.Tpch_schema.config ->
-  ?obs:Obs.Sink.t ->
-  ?prepare:(assembly -> unit) ->
-  ?arrival_interval_us:float ->
-  ?horizon_sec:float ->
-  ?hp_batch:int ->
-  ?urgent_batch:int ->
-  unit ->
-  result
-(** The §5 multi-level extension workload: Q2 low, StockLevel high,
-    BalanceCheck urgent.  With [cfg.n_priority_levels >= 3] urgent requests
-    preempt in-progress StockLevels on a third context; with 2 levels they
-    merge into the high-priority queue (the baseline). *)
-
-val run_ledger :
-  cfg:Config.t ->
-  ?ledger_cfg:Workload.Ledger.config ->
-  ?obs:Obs.Sink.t ->
-  ?prepare:(assembly -> unit) ->
-  ?arrival_interval_us:float ->
-  ?horizon_sec:float ->
-  ?hp_batch:int ->
-  unit ->
-  result * int
-(** Serializable ledger workload ("Audit" low priority, "Transfer" high
-    priority) — the read-set-latching regime where non-preemptible regions
-    matter (§4.4).  Also returns the post-run total balance, which every
-    committed transaction conserves (initial: accounts × 1000). *)
-
-val run_maintenance :
-  cfg:Config.t ->
-  ?tpcc_cfg:Workload.Tpcc_schema.config ->
-  ?obs:Obs.Sink.t ->
-  ?prepare:(assembly -> unit) ->
-  ?arrival_interval_us:float ->
-  ?horizon_sec:float ->
-  ?hp_batch:int ->
-  unit ->
-  result
-(** The memory-footprint experiment workload: a high-priority-only
-    NewOrder/Payment stream (the update-heavy mix whose hot rows — warehouse
-    and district YTD, customer balances — grow a version per commit), with
-    no low-priority analytics so GC chunks own the low-priority level when
-    [cfg.reclaim] is set.  With reclamation off, chains grow monotonically
-    for the whole run. *)
+(** Assemble a node, load the workload's databases (TPC-C
+    {!Workload.Tpcc_schema.small} with one warehouse per worker, TPC-H
+    {!Workload.Tpch_schema.default}, {!Workload.Ledger.default} unless
+    overridden), create the scheduling thread with the workload's
+    generators (plus GC and checkpoint chunks when [cfg] arms them), and
+    {!finish} at the horizon.  [hp_batch] defaults to workers × hp-queue
+    size; [lp_interval_us] ([Mixed] only) decouples the Q2 refill cadence
+    from the arrival interval (the Fig-13 sweep varies only the latter).
+    @raise Invalid_argument when an option does not apply to the
+    workload: [tpch_cfg] outside [Mixed]/[Tiered], [ledger_cfg] outside
+    [Ledger], [tpcc_cfg] for [Ledger], [hp_batch] for [Tpcc] (no
+    high-priority stream), [lp_interval_us] outside [Mixed],
+    [empty_interrupt_ticks] outside [Tpcc], [urgent_batch] outside
+    [Tiered]. *)
 
 val maint_arg :
   assembly -> Config.t -> (Maint.Reclaimer.t * (submitted_at:int64 -> Request.t)) option

@@ -1,5 +1,6 @@
 module Config = Preemptdb.Config
 module Metrics = Preemptdb.Metrics
+module Runner = Preemptdb.Runner
 module Worker = Preemptdb.Worker
 module Sched_thread = Preemptdb.Sched_thread
 module Request = Preemptdb.Request
@@ -22,16 +23,11 @@ open Storage.Value
 let gid_base = 0x4000_0000
 let decision_ts gid = Int64.of_int (1_000_000_000 + (gid - gid_base))
 
+(* A shard is a {!Runner} node plus its 2PC state. *)
 type shard = {
   sid : int;
-  eng : Storage.Engine.t;
+  node : Runner.assembly;
   db : Tpcc_db.t;
-  metrics : Metrics.t;
-  workers : Worker.t array;
-  mutable sched : Sched_thread.t option;
-  log : Durability.Log.t;
-  daemon : Durability.Daemon.t;
-  device : Durability.Device.t;
   gates : Uintr.Gate.t;
   coord : Coordinator.t;
   owned : int array;  (* warehouses this shard homes *)
@@ -58,18 +54,15 @@ type t = {
   des : Sim.Des.t;
   clock : Sim.Clock.t;
   fabric : Uintr.Fabric.t;
-  prof : Obs.Profiler.t;
   cfg : Config.t;
   sp : Config.shard_policy;
   router : Router.t;
-  tpcc_cfg : Sc.config;
   shards : shard array;
   links : Msg.t Uintr.Channel.t array array;  (* [src].[dst]; diagonal unused *)
   origins : bool array;
   bug_early_vote : bool;
   timeout_cycles : int;
   mutable next_gid : int;
-  mutable next_req : int;
   mutable horizon : int64;
   mutable wall_s : float;
 }
@@ -77,14 +70,17 @@ type t = {
 let des t = t.des
 let clock t = t.clock
 let n_shards t = Array.length t.shards
-let router t = t.router
-let policy t = t.sp
 let horizon t = t.horizon
 let wall_s t = t.wall_s
-let engine t ~sid = t.shards.(sid).eng
-let log t ~sid = t.shards.(sid).log
-let metrics t ~sid = t.shards.(sid).metrics
-let workers t ~sid = t.shards.(sid).workers
+let node t ~sid = t.shards.(sid).node
+let engine t ~sid = t.shards.(sid).node.Runner.eng
+let metrics t ~sid = t.shards.(sid).node.Runner.metrics
+let workers t ~sid = t.shards.(sid).node.Runner.workers
+
+(* [create] rejects a config without durability, so every node has one. *)
+let dur s = Option.get s.node.Runner.dur
+let shard_log s = (dur s).Runner.dur_log
+let log t ~sid = shard_log t.shards.(sid)
 let crashed t ~sid = t.shards.(sid).crashed
 let events_processed t = Sim.Des.events_processed t.des
 let coord_pending t ~sid = Coordinator.pending t.shards.(sid).coord
@@ -96,11 +92,6 @@ let fresh_gid t =
   let g = t.next_gid in
   t.next_gid <- t.next_gid + 1;
   g
-
-let fresh_req t =
-  let r = t.next_req in
-  t.next_req <- t.next_req + 1;
-  r
 
 let send t ~src ~dst msg = Uintr.Channel.send t.links.(src).(dst) ~bytes:(Msg.bytes msg) msg
 
@@ -154,7 +145,9 @@ let install_prepared (env : P.env) s ~gid txn =
       let n = List.length txn.Txn.writes in
       P.charge (P.Commit_install n);
       let ts = Engine.commit_install env.P.eng txn in
-      ignore (Durability.Log.append_twopc_install s.log ~worker:env.P.worker ~gid ~commit_ts:ts);
+      ignore
+        (Durability.Log.append_twopc_install (shard_log s) ~worker:env.P.worker ~gid
+           ~commit_ts:ts);
       ts)
 
 let stock_deduct (env : P.env) db txn ~w ~i ~qty ~remote =
@@ -214,7 +207,7 @@ let run_2pc t s env ~groups ~body =
     (match prepare_txn env ~budget:t.sp.Config.sh_latch_budget txn with
     | Error r -> raise (P.Txn_failed r)
     | Ok () -> ());
-    let plsn = Durability.Log.append_prepare s.log ~worker:env.P.worker ~gid txn in
+    let plsn = Durability.Log.append_prepare (shard_log s) ~worker:env.P.worker ~gid txn in
     P.charge (P.Commit_wait plsn);
     let at = Sim.Des.now_int t.des + t.timeout_cycles in
     Sim.Des.schedule_at_int t.des ~time:at (fun _ -> Coordinator.timeout s.coord ~gid);
@@ -222,7 +215,7 @@ let run_2pc t s env ~groups ~body =
     if Uintr.Gate.value s.gates gate = 1 then begin
       let gts = decision_ts gid in
       let dlsn =
-        Durability.Log.append_decision s.log ~worker:env.P.worker ~gid ~commit_ts:gts
+        Durability.Log.append_decision (shard_log s) ~worker:env.P.worker ~gid ~commit_ts:gts
           ~participants
       in
       (* The decision record's durability is the distributed commit point:
@@ -392,7 +385,7 @@ let participant_body t s ~gid ~origin ~ops env =
     send t ~src:s.sid ~dst:origin (Msg.Vote { gid; shard = s.sid; yes = false });
     P.Aborted Err.User_abort
   | Ok () ->
-    let plsn = Durability.Log.append_prepare s.log ~worker:env.P.worker ~gid txn in
+    let plsn = Durability.Log.append_prepare (shard_log s) ~worker:env.P.worker ~gid txn in
     (* Register the decision gate before the vote leaves: the commit frame
        may arrive while this context is anywhere below. *)
     let g = Uintr.Gate.fresh s.gates in
@@ -441,14 +434,15 @@ let participant_prog t s ~gid ~origin ~ops env =
    full queues from a DES event (bounded — a dropped prepare simply times
    out at the coordinator). *)
 let inject t s req =
-  let n = Array.length s.workers in
+  let workers = s.node.Runner.workers in
+  let n = Array.length workers in
   let rec attempt tries =
     if s.crashed then ()
     else begin
       let placed = ref false in
       let k = ref 0 in
       while (not !placed) && !k < n do
-        let w = s.workers.((s.rr + !k) mod n) in
+        let w = workers.((s.rr + !k) mod n) in
         if Worker.enqueue_hp w req then begin
           placed := true;
           s.rr <- (s.rr + !k + 1) mod n;
@@ -489,7 +483,7 @@ let handle_msg t ~dst msg =
         Hashtbl.replace s.seen_prepares gid ();
         s.prepares_recv <- s.prepares_recv + 1;
         let req =
-          Request.make ~id:(fresh_req t) ~label:"XPart" ~priority:Request.High
+          Request.make ~id:(Runner.fresh_id s.node) ~label:"XPart" ~priority:Request.High
             ~prog:(participant_prog t s ~gid ~origin ~ops)
             ~rng:(Sim.Rng.split s.inject_rng)
             ~submitted_at:(Sim.Des.now t.des)
@@ -527,11 +521,8 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
     | Some sp -> sp
     | None -> invalid_arg "Cluster.create: cfg.shard not set (use Config.with_shard)"
   in
-  let dp =
-    match cfg.Config.durability with
-    | Some dp -> dp
-    | None -> invalid_arg "Cluster.create: sharded 2PC requires cfg.durability"
-  in
+  if cfg.Config.durability = None then
+    invalid_arg "Cluster.create: sharded 2PC requires cfg.durability";
   let n = sp.Config.sh_shards in
   let tpcc_cfg =
     match tpcc_cfg with
@@ -546,59 +537,30 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
       (Printf.sprintf "Cluster.create: %d warehouses cannot cover %d shards"
          tpcc_cfg.Sc.warehouses n);
   let router = Router.create ~shards:n ~warehouses:tpcc_cfg.Sc.warehouses in
-  let des = Sim.Des.create ~seed:cfg.Config.seed () in
+  (* Every shard is a node on one shared simulation: one DES clock, one
+     fabric, one profiler, globally unique worker ids. *)
+  let sub = Runner.substrate cfg in
+  let des = sub.Runner.sub_des in
   let clock = Sim.Des.clock des in
-  let fabric = Uintr.Fabric.create des ~costs:cfg.Config.uintr_costs in
-  let prof = Obs.Profiler.create () in
-  let timeline_window = Sim.Clock.cycles_of_us clock 10_000. in
   let all_w = Array.init tpcc_cfg.Sc.warehouses (fun i -> i + 1) in
   let shards =
     Array.init n (fun sid ->
-        let eng = Storage.Engine.create () in
-        let log =
-          Durability.Log.create ~buffer_records:dp.Config.du_buffer_records
-            ~n_workers:cfg.Config.n_workers ()
+        let node =
+          Runner.assemble ~on:{ sub with Runner.sub_first_wid = sid * cfg.Config.n_workers } cfg
         in
-        Durability.Log.attach log eng;
-        let db = Tpcc_db.create eng tpcc_cfg in
+        let db = Tpcc_db.create node.Runner.eng tpcc_cfg in
         let load_rng = Sim.Rng.create (Int64.add cfg.Config.seed (Int64.of_int (1 + sid))) in
         Tpcc_db.load ~owns:(fun w -> Router.shard_of router w = sid) db load_rng;
-        let metrics = Metrics.create ~timeline_window () in
-        let workers =
-          Array.init cfg.Config.n_workers (fun k ->
-              Worker.create ~prof ~des ~cfg ~fabric ~metrics ~eng
-                ~id:((sid * cfg.Config.n_workers) + k)
-                ())
-        in
-        let device =
-          Durability.Device.create ~setup_cycles:dp.Config.du_setup_cycles
-            ~per_byte_cycles_x100:dp.Config.du_per_byte_cycles_x100
-            ~fsync_floor_cycles:(Sim.Clock.cycles_of_us clock dp.Config.du_fsync_floor_us)
-            ()
-        in
-        let daemon =
-          Durability.Daemon.create ~des ~log ~device ~group_bytes:dp.Config.du_group_bytes
-            ~group_interval:
-              (Int64.max 1L (Sim.Clock.cycles_of_us clock dp.Config.du_group_interval_us))
-            ()
-        in
-        Array.iter
-          (fun w -> Worker.set_durability w ~blocking:dp.Config.du_blocking (Some daemon))
-          workers;
         let gates = Uintr.Gate.create () in
-        Array.iter (fun w -> Worker.set_gates w ~blocking:sp.Config.sh_blocking (Some gates)) workers;
+        Array.iter
+          (fun w -> Worker.set_gates w ~blocking:sp.Config.sh_blocking (Some gates))
+          node.Runner.workers;
         let owned = Router.warehouses_of router sid in
         let foreign = Array.of_list (List.filter (fun w -> Router.shard_of router w <> sid) (Array.to_list all_w)) in
         {
           sid;
-          eng;
+          node;
           db;
-          metrics;
-          workers;
-          sched = None;
-          log;
-          daemon;
-          device;
           gates;
           coord = Coordinator.create ~gates;
           owned;
@@ -624,7 +586,7 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
   let links =
     Array.init n (fun src ->
         Array.init n (fun dst ->
-            Uintr.Channel.create des ~fabric
+            Uintr.Channel.create des ~fabric:sub.Runner.sub_fabric
               ~name:(Printf.sprintf "link-%d-%d" src dst)
               ~base_latency:sp.Config.sh_link_base_cycles
               ~per_byte:sp.Config.sh_link_per_byte_cycles))
@@ -639,19 +601,16 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
     {
       des;
       clock;
-      fabric;
-      prof;
+      fabric = sub.Runner.sub_fabric;
       cfg;
       sp;
       router;
-      tpcc_cfg;
       shards;
       links;
       origins = origins_arr;
       bug_early_vote;
       timeout_cycles = Int64.to_int (Sim.Clock.cycles_of_us clock sp.Config.sh_prepare_timeout_us);
       next_gid = gid_base;
-      next_req = 0;
       horizon = 0L;
       wall_s = 0.;
     }
@@ -661,7 +620,8 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
       if src <> dst then Uintr.Channel.set_on_deliver t.links.(src).(dst) (handle_msg t ~dst)
     done
   done;
-  (* One scheduling thread per shard, driving its own warehouses. *)
+  (* One scheduling thread per shard, driving its own warehouses (plus the
+     node's GC and checkpoint chunks when the config arms them). *)
   Array.iter
     (fun s ->
       let gen_rng = Sim.Rng.create (Int64.add cfg.Config.seed (Int64.of_int (100 + s.sid))) in
@@ -682,52 +642,38 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
           | true, true -> "NewOrderX", sharded_new_order t s ~home_w
           | false, true -> "PaymentX", sharded_payment t s ~home_w
         in
-        Request.make ~id:(fresh_req t) ~label ~priority:Request.High ~prog ~rng ~submitted_at
+        Request.make ~id:(Runner.fresh_id s.node) ~label ~priority:Request.High ~prog ~rng
+          ~submitted_at
       in
-      let sched =
-        Sched_thread.create ~des ~cfg ~fabric ~metrics:s.metrics ~workers:s.workers ~hp_gen
-          ~hp_batch
-          ~arrival_interval:(Sim.Clock.cycles_of_us clock arrival_interval_us)
-          ()
-      in
-      s.sched <- Some sched)
+      let node = s.node in
+      node.Runner.sched <-
+        Some
+          (Sched_thread.create ~des ~cfg ~fabric:t.fabric ~metrics:node.Runner.metrics
+             ~workers:node.Runner.workers ?maint:(Runner.maint_arg node cfg)
+             ?ckpt:(Runner.ckpt_arg node cfg) ~hp_gen ~hp_batch
+             ~arrival_interval:(Sim.Clock.cycles_of_us clock arrival_interval_us)
+             ()))
     shards;
   t
 
 (* -- run / crash --------------------------------------------------------- *)
 
+(* Every node starts exactly as a single-node run would, then the shared
+   DES runs once and each node closes its own cycle ledger. *)
 let run t ~horizon_sec =
   let horizon = Sim.Clock.cycles_of_sec t.clock horizon_sec in
   t.horizon <- horizon;
   Array.iter
-    (fun s ->
-      Durability.Log.snapshot_base s.log s.eng;
-      Durability.Daemon.start s.daemon;
-      match s.sched with Some sched -> Sched_thread.start sched | None -> ())
+    (fun s -> Option.iter (Runner.start s.node) s.node.Runner.sched)
     t.shards;
-  let t0 = Unix.gettimeofday () in
-  Sim.Des.run ~until:horizon t.des;
-  t.wall_s <- Unix.gettimeofday () -. t0;
-  (* Close each worker's cycle ledger (idle = horizon − busy) so the
-     profiler's conservation invariant holds cluster-wide. *)
-  Array.iter
-    (fun s ->
-      Array.iter
-        (fun w ->
-          let busy = Int64.of_int (Worker.stats w).Worker.busy_cycles in
-          let idle = Int64.to_int (Int64.max 0L (Int64.sub horizon busy)) in
-          Obs.Profiler.account (Obs.Profiler.worker t.prof ~wid:(Worker.id w))
-            Obs.Profiler.Idle idle)
-        s.workers)
-    t.shards
+  t.wall_s <- Runner.run_des t.des ~horizon;
+  Array.iter (fun s -> Runner.close_ledger s.node ~horizon) t.shards
 
 let crash_shard t ~sid ~rng =
   let s = t.shards.(sid) in
   if not s.crashed then begin
     s.crashed <- true;
-    Durability.Daemon.crash s.daemon ~rng;
-    Array.iter Worker.kill s.workers;
-    (match s.sched with Some sched -> Sched_thread.halt sched | None -> ());
+    Runner.crash_primary s.node ~rng;
     for other = 0 to Array.length t.shards - 1 do
       if other <> sid then begin
         Uintr.Channel.sever t.links.(sid).(other);
@@ -770,7 +716,8 @@ type shard_stats = {
 let stats t =
   Array.map
     (fun s ->
-      let sum f = Array.fold_left (fun acc w -> acc + f (Worker.stats w)) 0 s.workers in
+      let workers = s.node.Runner.workers and metrics = s.node.Runner.metrics in
+      let sum f = Array.fold_left (fun acc w -> acc + f (Worker.stats w)) 0 workers in
       let link_sends = ref 0 and link_bytes = ref 0 in
       Array.iteri
         (fun dst ch ->
@@ -782,8 +729,8 @@ let stats t =
       {
         ss_sid = s.sid;
         ss_crashed = s.crashed;
-        ss_committed = Metrics.committed_total s.metrics;
-        ss_aborted = Metrics.aborted_total s.metrics;
+        ss_committed = Metrics.committed_total metrics;
+        ss_aborted = Metrics.aborted_total metrics;
         ss_xs_started = s.xs_started;
         ss_xs_committed = s.xs_committed;
         ss_xs_aborted = s.xs_aborted;
@@ -801,9 +748,9 @@ let stats t =
         ss_gate_unparks = sum (fun st -> st.Worker.gate_unparks);
         ss_gate_immediate = sum (fun st -> st.Worker.gate_immediate);
         ss_gate_block_cycles = sum (fun st -> st.Worker.gate_block_cycles);
-        ss_parked_left = Array.fold_left (fun acc w -> acc + Worker.parked_requests w) 0 s.workers;
-        ss_flushes = Durability.Daemon.flushes s.daemon;
-        ss_durable_lsn = Durability.Log.durable_lsn s.log;
+        ss_parked_left = Array.fold_left (fun acc w -> acc + Worker.parked_requests w) 0 workers;
+        ss_flushes = Durability.Daemon.flushes (dur s).Runner.dur_daemon;
+        ss_durable_lsn = Durability.Log.durable_lsn (shard_log s);
         ss_link_sends = !link_sends;
         ss_link_bytes = !link_bytes;
       })

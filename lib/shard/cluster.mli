@@ -1,11 +1,15 @@
 (** Warehouse-sharded scale-out cluster.
 
-    N shards share one DES virtual clock and one uintr fabric; each shard
-    owns its own engine partition (the TPC-C warehouses {!Router} maps to
-    it), worker pool, scheduling thread, redo log and group-commit daemon,
-    and a {!Uintr.Gate} registry for its workers' preemptible 2PC waits.
-    Directed shard pairs are connected by {!Uintr.Channel} links carrying
-    {!Msg} frames.
+    Each shard is a {!Preemptdb.Runner} node — built by
+    {!Preemptdb.Runner.assemble} on one shared {!Preemptdb.Runner.substrate}
+    (one DES virtual clock, one uintr fabric, one profiler) — plus its 2PC
+    state.  A node owns its engine partition (the TPC-C warehouses
+    {!Router} maps to it), worker pool, scheduling thread, redo log and
+    group-commit daemon, and whatever else the config arms on every node:
+    epoch reclamation, fuzzy checkpoints, a replicated standby.  Each shard
+    also has a {!Uintr.Gate} registry for its workers' preemptible 2PC
+    waits.  Directed shard pairs are connected by {!Uintr.Channel} links
+    carrying {!Msg} frames.
 
     Cross-shard NewOrder/Payment transactions run two-phase commit with
     presumed abort:
@@ -29,6 +33,7 @@
 
 module Config = Preemptdb.Config
 module Metrics = Preemptdb.Metrics
+module Runner = Preemptdb.Runner
 module Worker = Preemptdb.Worker
 
 type t
@@ -43,7 +48,9 @@ val create :
   unit ->
   t
 (** Assemble the cluster described by [cfg.shard] (and [cfg.durability],
-    both required — use {!Config.with_shard}).  [cfg.n_workers] is the
+    both required — use {!Config.with_shard}): one node per shard, each
+    honoring the rest of [cfg] exactly as a single-node run does
+    ([cfg.reclaim], checkpoints, [cfg.replication]).  [cfg.n_workers] is the
     {e per-shard} pool size; worker ids are globally unique
     ([sid * n_workers + k]).  The default TPC-C config spreads
     [shards × n_workers] warehouses over the shards with per-line
@@ -60,17 +67,16 @@ val create :
 val des : t -> Sim.Des.t
 val clock : t -> Sim.Clock.t
 val n_shards : t -> int
-val router : t -> Router.t
-val policy : t -> Config.shard_policy
 
 val run : t -> horizon_sec:float -> unit
-(** Snapshot base images, start daemons and scheduling threads, run the
-    DES to the horizon, close each worker's idle-cycle ledger. *)
+(** {!Runner.start} every node, {!Runner.run_des} the shared DES once to
+    the horizon, {!Runner.close_ledger} every node. *)
 
 val crash_shard : t -> sid:int -> rng:Sim.Rng.t -> unit
-(** Fail-stop one shard mid-run: its daemon tears (random prefix of the
-    pending tail lost), workers die, the scheduling thread halts, and
-    every link touching the shard severs.  The rest of the cluster keeps
+(** Fail-stop one shard mid-run: {!Runner.crash_primary} on its node (the
+    daemon tears — random prefix of the pending tail lost — workers die,
+    the scheduling thread halts, replication stops), and every link
+    touching the shard severs.  The rest of the cluster keeps
     running — in-flight 2PC involving the shard resolves via the
     coordinator timeout (participant crash) or stays parked until the
     horizon (coordinator crash; presumed abort at recovery). *)
@@ -81,6 +87,10 @@ val crashed : t -> sid:int -> bool
 
 val horizon : t -> int64
 val wall_s : t -> float
+
+val node : t -> sid:int -> Runner.assembly
+(** The shard's node: its engine, workers, metrics and subsystems. *)
+
 val engine : t -> sid:int -> Storage.Engine.t
 val log : t -> sid:int -> Durability.Log.t
 val metrics : t -> sid:int -> Metrics.t

@@ -131,7 +131,8 @@ let run ?plan ?(resilience = false) ?shed_deadline_us ?(arrival = 250.) ?(horizo
   let cfg = Config.default ~policy:(Config.Preempt 1.0) ~n_workers:2 () in
   let cfg = if resilience then Config.with_resilience ?shed_deadline_us cfg else cfg in
   let prepare = Option.map (fun p a -> Injector.install p a) plan in
-  Runner.run_mixed ~cfg ?prepare ~tpch_cfg:small_tpch ~arrival_interval_us:arrival
+  Runner.run ~workload:Runner.Mixed ~cfg ?prepare ~tpch_cfg:small_tpch
+    ~arrival_interval_us:arrival
     ~horizon_sec:horizon ?hp_batch ()
 
 let fingerprint (r : Runner.result) =

@@ -295,12 +295,13 @@ let test_runner_maintenance_bounds_chains () =
   let horizon_sec = 0.01 in
   let arrival_interval_us = 100. in
   let off =
-    R.Runner.run_maintenance ~cfg:(base_cfg ()) ~horizon_sec ~arrival_interval_us ()
+    R.Runner.run ~workload:R.Runner.Maintenance ~cfg:(base_cfg ()) ~horizon_sec
+      ~arrival_interval_us ()
   in
   checkb "reclaim off: no maint summary" true (off.R.Runner.maint = None);
   checki "reclaim off: no gc requests" 0 off.R.Runner.generated_gc;
   let on =
-    R.Runner.run_maintenance
+    R.Runner.run ~workload:R.Runner.Maintenance
       ~cfg:(R.Config.with_reclaim ~reclaim:fast_reclaim (base_cfg ()))
       ~horizon_sec ~arrival_interval_us ()
   in
@@ -321,7 +322,7 @@ let test_runner_maintenance_bounds_chains () =
 
 let test_runner_maintenance_gc_class_accounted () =
   let on =
-    R.Runner.run_maintenance
+    R.Runner.run ~workload:R.Runner.Maintenance
       ~cfg:(R.Config.with_reclaim ~reclaim:fast_reclaim (base_cfg ()))
       ~horizon_sec:0.01 ~arrival_interval_us:100. ()
   in

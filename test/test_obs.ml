@@ -189,7 +189,8 @@ let golden_trace =
       (* default TPC-H sizing: Q2 must run long enough to actually get
          preempted, or the trace has no passive switches to assert on *)
       let r =
-        Preemptdb.Runner.run_mixed ~cfg ~obs ~arrival_interval_us:500. ~horizon_sec:0.004 ()
+        Preemptdb.Runner.run ~workload:Preemptdb.Runner.Mixed ~cfg ~obs
+          ~arrival_interval_us:500. ~horizon_sec:0.004 ()
       in
       let json = Obs.Perfetto.to_json ~clock:r.Preemptdb.Runner.clock (Sink.dump obs) in
       (* the golden property: serialized Perfetto output parses back *)
@@ -265,6 +266,36 @@ let test_perfetto_metadata () =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* -- Per-run request ids ------------------------------------------------------ *)
+
+(* Request ids are drawn from the run's own node, not a process-global
+   counter: the same run twice in one process emits the same ids —
+   workload requests and GC chunks alike. *)
+let test_request_ids_per_run () =
+  let run () =
+    let cfg =
+      Preemptdb.Config.with_reclaim
+        (Preemptdb.Config.default ~policy:(Preemptdb.Config.Preempt 1.0) ~n_workers:2 ())
+    in
+    let obs = Sink.create () in
+    ignore
+      (Preemptdb.Runner.run ~workload:Preemptdb.Runner.Maintenance ~cfg ~obs
+         ~arrival_interval_us:200. ~horizon_sec:0.004 ());
+    List.filter_map
+      (fun (e : Sink.entry) ->
+        match e.Sink.ev with
+        | Obs.Event.Txn_begin { id; label; _ } -> Some (id, label)
+        | Obs.Event.Enqueue { req; _ } -> Some (req, "enqueue")
+        | _ -> None)
+      (Sink.dump obs)
+  in
+  let first = run () in
+  let second = run () in
+  checkb "GC chunks ran" true (List.exists (fun (_, l) -> l = "GC") first);
+  checkb "ids start at 1" true
+    (List.for_all (fun (id, _) -> id >= 1) first && List.mem_assoc 1 first);
+  checkb "same ids in the second run" true (first = second)
+
 let () =
   Alcotest.run "obs"
     [
@@ -295,4 +326,5 @@ let () =
           Alcotest.test_case "flow pairs" `Quick test_perfetto_flow_pairs;
           Alcotest.test_case "lane metadata" `Quick test_perfetto_metadata;
         ] );
+      ("ids", [ Alcotest.test_case "request ids per run" `Quick test_request_ids_per_run ]);
     ]

@@ -132,7 +132,7 @@ let small_cfg policy =
   { (Config.default ~policy ~n_workers:2 ()) with Config.seed = 7L }
 
 let run ?prepare policy =
-  Runner.run_mixed ~cfg:(small_cfg policy) ?prepare ~arrival_interval_us:200.
+  Runner.run ~workload:Runner.Mixed ~cfg:(small_cfg policy) ?prepare ~arrival_interval_us:200.
     ~horizon_sec:0.004 ()
 
 let check_conservation name (r : Runner.result) =
@@ -376,7 +376,8 @@ let prop_conservation_any_seed =
           Config.seed = Int64.of_int seed
         }
       in
-      let r = Runner.run_mixed ~cfg ~arrival_interval_us:300. ~horizon_sec:0.002 () in
+      let r = Runner.run ~workload:Runner.Mixed ~cfg ~arrival_interval_us:300.
+        ~horizon_sec:0.002 () in
       let p = r.Runner.profile in
       let non_idle =
         List.fold_left

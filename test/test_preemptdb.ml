@@ -487,7 +487,7 @@ let quick_mixed ?(seed = 42) ?(arrival = 250.) ?(horizon = 0.02) policy =
   let cfg =
     { (Config.default ~policy ~n_workers:2 ()) with Config.seed = Int64.of_int seed }
   in
-  Runner.run_mixed ~cfg ~tpch_cfg:small_tpch ~arrival_interval_us:arrival
+  Runner.run ~workload:Runner.Mixed ~cfg ~tpch_cfg:small_tpch ~arrival_interval_us:arrival
     ~horizon_sec:horizon ()
 
 let p99 r label = Option.get (Runner.latency_us r label ~pct:99.)
@@ -544,8 +544,8 @@ let test_integration_empty_interrupt_overhead () =
       Config.empty_interrupts = true;
     }
   in
-  let plain = Runner.run_tpcc ~cfg:base_cfg ~horizon_sec:0.02 () in
-  let intr = Runner.run_tpcc ~cfg:with_intr ~horizon_sec:0.02 () in
+  let plain = Runner.run ~workload:Runner.Tpcc ~cfg:base_cfg ~horizon_sec:0.02 () in
+  let intr = Runner.run ~workload:Runner.Tpcc ~cfg:with_intr ~horizon_sec:0.02 () in
   checkb "interrupts were delivered" true (intr.Runner.uintr_sends > 0);
   checkb "workers bounced back" true (intr.Runner.workers.Runner.passive_switches > 0);
   let t_plain = Runner.total_tpcc_ktps plain and t_intr = Runner.total_tpcc_ktps intr in
@@ -561,7 +561,7 @@ let test_integration_starvation_prevention () =
         Config.hp_queue_size = 50;
       }
     in
-    Runner.run_mixed ~cfg ~tpch_cfg:small_tpch ~arrival_interval_us:1000.
+    Runner.run ~workload:Runner.Mixed ~cfg ~tpch_cfg:small_tpch ~arrival_interval_us:1000.
       ~horizon_sec:0.02 ~hp_batch:400 ()
   in
   let starving = run 1.0 in
@@ -589,7 +589,8 @@ let test_integration_regions_prevent_deadlock () =
         Config.regions_enabled;
       }
     in
-    Runner.run_ledger ~cfg ~horizon_sec:0.03 ()
+    let r = Runner.run ~workload:Runner.Ledger ~cfg ~horizon_sec:0.03 () in
+    (r, Option.get r.Runner.balance)
   in
   let with_regions, balance_on = run true in
   let without_regions, balance_off = run false in
@@ -614,7 +615,7 @@ let test_integration_multilevel_priorities () =
         Config.n_priority_levels = levels;
       }
     in
-    Runner.run_tiered ~cfg ~tpch_cfg:small_tpch ~horizon_sec:0.03 ()
+    Runner.run ~workload:Runner.Tiered ~cfg ~tpch_cfg:small_tpch ~horizon_sec:0.03 ()
   in
   let two = run 2 in
   let three = run 3 in
@@ -649,7 +650,7 @@ let test_integration_wal_recovery_end_to_end () =
   let parts = ref None in
   let prepare (a : Runner.assembly) = parts := a.Runner.dur in
   let r =
-    Runner.run_mixed ~cfg ~tpch_cfg:small_tpch ~prepare ~arrival_interval_us:250.
+    Runner.run ~workload:Runner.Mixed ~cfg ~tpch_cfg:small_tpch ~prepare ~arrival_interval_us:250.
       ~horizon_sec:0.01 ()
   in
   let d = Option.get !parts in
@@ -677,7 +678,7 @@ let test_integration_shed_and_conservation () =
       }
   in
   let r =
-    Runner.run_mixed ~cfg ~tpch_cfg:small_tpch ~arrival_interval_us:1000.
+    Runner.run ~workload:Runner.Mixed ~cfg ~tpch_cfg:small_tpch ~arrival_interval_us:1000.
       ~horizon_sec:0.02 ~hp_batch:400 ()
   in
   checkb "overload shed work" true (r.Runner.shed > 0);
@@ -696,7 +697,7 @@ let test_integration_backlog_cap_drops () =
     }
   in
   let r =
-    Runner.run_mixed ~cfg ~tpch_cfg:small_tpch ~arrival_interval_us:1000.
+    Runner.run ~workload:Runner.Mixed ~cfg ~tpch_cfg:small_tpch ~arrival_interval_us:1000.
       ~horizon_sec:0.02 ~hp_batch:400 ()
   in
   checkb "admission drops at the cap" true (Preemptdb.Metrics.drops r.Runner.metrics > 0);
@@ -717,6 +718,21 @@ let test_integration_sched_latency_recorded () =
   match Runner.sched_latency_us r "NewOrder" ~pct:50. with
   | Some v -> checkb "scheduling latency sub-50us under preemption" true (v < 50.)
   | None -> Alcotest.fail "scheduling latency missing"
+
+let test_run_rejects_inapplicable_options () =
+  (* An option the workload has no use for is an error, not a no-op. *)
+  let cfg = Config.default ~policy:(Config.Preempt 1.0) ~n_workers:2 () in
+  let rejects name f =
+    checkb name true (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "tpch_cfg for tpcc" (fun () ->
+      Runner.run ~workload:Runner.Tpcc ~cfg ~tpch_cfg:small_tpch ());
+  rejects "hp_batch for tpcc" (fun () -> Runner.run ~workload:Runner.Tpcc ~cfg ~hp_batch:1 ());
+  rejects "urgent_batch for mixed" (fun () ->
+      Runner.run ~workload:Runner.Mixed ~cfg ~urgent_batch:1 ());
+  rejects "tpcc_cfg for ledger" (fun () ->
+      Runner.run ~workload:Runner.Ledger ~cfg
+        ~tpcc_cfg:(Workload.Tpcc_schema.small ~warehouses:2) ())
 
 let () =
   Alcotest.run "preemptdb"
@@ -779,5 +795,7 @@ let () =
             test_integration_backlog_cap_drops;
           Alcotest.test_case "resilience stack defaults off" `Slow
             test_integration_resilience_defaults_off;
+          Alcotest.test_case "run rejects inapplicable options" `Quick
+            test_run_rejects_inapplicable_options;
         ] );
     ]

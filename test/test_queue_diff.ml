@@ -13,7 +13,7 @@
      (overflow promotion), pushes behind the cursor (backfill), byte-level
      cursor rollover, and mid-script clears; and
    - a real bench-tpcc-shaped operation trace captured from a live
-     [Runner.run_tpcc] via [Sim.Des.set_queue_tracer] and replayed against
+     [Runner.run ~workload:Runner.Tpcc] via [Sim.Des.set_queue_tracer] and replayed against
      both implementations,
 
    asserting identical [(time, payload)] streams pop for pop.  The oracle
@@ -274,7 +274,7 @@ let test_tpcc_trace_replay () =
     { (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:4 ()) with
       Config.seed = 7L }
   in
-  let r = Runner.run_tpcc ~cfg ~horizon_sec:0.005 ~prepare () in
+  let r = Runner.run ~workload:Runner.Tpcc ~cfg ~horizon_sec:0.005 ~prepare () in
   checkb "tracer installed" true !installed;
   checkb "run did work" true (r.Runner.events > 1_000);
   let ops = List.rev !trace in

@@ -133,7 +133,7 @@ let test_storm_no_spurious_failover () =
       a
   in
   let r =
-    Runner.run_mixed ~cfg ~tpch_cfg:small_tpch ~prepare ~arrival_interval_us:400.
+    Runner.run ~workload:Runner.Mixed ~cfg ~tpch_cfg:small_tpch ~prepare ~arrival_interval_us:400.
       ~horizon_sec:0.01 ()
   in
   let rs = repl r in
@@ -183,7 +183,7 @@ let test_crash_kills_primary_cleanly () =
       a
   in
   let r =
-    Runner.run_mixed ~cfg ~tpch_cfg:small_tpch ~prepare ~arrival_interval_us:400.
+    Runner.run ~workload:Runner.Mixed ~cfg ~tpch_cfg:small_tpch ~prepare ~arrival_interval_us:400.
       ~horizon_sec:0.01 ()
   in
   checkb "workers killed" true

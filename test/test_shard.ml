@@ -208,6 +208,50 @@ let test_atomic_deterministic () =
   let a = run () and b = run () in
   checkb "same seed, same run" true (a = b)
 
+(* -- Composition: every node honors the whole config ------------------------ *)
+
+(* Shards are ordinary nodes, so reclamation and replication compose with
+   2PC for free: each shard reclaims its own version chains and ships its
+   own log to its own standby, and the atomicity oracle still holds. *)
+let run_cluster cfg =
+  let cl = Shard.Cluster.create ~cfg ~arrival_interval_us:80. () in
+  Shard.Cluster.run cl ~horizon_sec:0.01;
+  List.init (Shard.Cluster.n_shards cl) (fun sid -> Shard.Cluster.node cl ~sid)
+
+let check_atomic_clean cfg =
+  let o = Check.Atomic.run ~cfg ~arrival_interval_us:80. ~horizon_sec:0.004 () in
+  let r = o.Check.Atomic.at_resolution in
+  checki "no violations" 0 (List.length r.Check.Atomic.rs_violations);
+  checkb "2PC actually ran" true (r.Check.Atomic.rs_decisions > 0)
+
+let test_cluster_reclaims () =
+  let cfg = Config.with_reclaim (shard_cfg ()) in
+  List.iteri
+    (fun sid (node : Preemptdb.Runner.assembly) ->
+      match node.Preemptdb.Runner.maint with
+      | Some r ->
+        checkb
+          (Printf.sprintf "shard %d reclaimed versions" sid)
+          true
+          (Maint.Reclaimer.versions_reclaimed r > 0)
+      | None -> Alcotest.failf "shard %d has no reclaimer" sid)
+    (run_cluster cfg);
+  check_atomic_clean cfg
+
+let test_cluster_replicates () =
+  let cfg = Config.with_replication (shard_cfg ()) in
+  List.iteri
+    (fun sid (node : Preemptdb.Runner.assembly) ->
+      match node.Preemptdb.Runner.repl with
+      | Some r ->
+        checkb
+          (Printf.sprintf "shard %d standby applied transactions" sid)
+          true
+          (Replication.Replica.txns_applied r.Preemptdb.Runner.repl_replica > 0)
+      | None -> Alcotest.failf "shard %d has no standby" sid)
+    (run_cluster cfg);
+  check_atomic_clean cfg
+
 let () =
   Alcotest.run "shard"
     [
@@ -233,5 +277,10 @@ let () =
           Alcotest.test_case "early-vote self-test caught" `Quick
             test_atomic_early_vote_caught;
           Alcotest.test_case "deterministic" `Quick test_atomic_deterministic;
+        ] );
+      ( "composition",
+        [
+          Alcotest.test_case "every shard reclaims" `Quick test_cluster_reclaims;
+          Alcotest.test_case "every shard's standby applies" `Quick test_cluster_replicates;
         ] );
     ]
