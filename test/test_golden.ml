@@ -48,6 +48,24 @@ let mixed () =
     (Runner.run ~workload:Runner.Mixed ~cfg ~tpch_cfg:small_tpch ~arrival_interval_us:250.
       ~horizon_sec:0.01 ())
 
+(* The same node with the blocking-commit ablation: commit waits spin
+   holding the context instead of parking. *)
+let mixed_blocking () =
+  let cfg =
+    Config.with_replication
+      (Config.with_durability
+         ~durability:
+           {
+             Config.default_durability with
+             Config.du_ckpt_interval_us = 2000.;
+             Config.du_blocking = true;
+           }
+         (base ()))
+  in
+  of_result
+    (Runner.run ~workload:Runner.Mixed ~cfg ~tpch_cfg:small_tpch ~arrival_interval_us:250.
+      ~horizon_sec:0.01 ())
+
 let tpcc () =
   let cfg = { (base ()) with Config.empty_interrupts = true } in
   of_result (Runner.run ~workload:Runner.Tpcc ~cfg ~horizon_sec:0.005 ())
@@ -68,10 +86,13 @@ let maintenance () =
   of_result (Runner.run ~workload:Runner.Maintenance ~cfg ~arrival_interval_us:200.
     ~horizon_sec:0.01 ())
 
-(* Two shards, one fingerprint per shard; events are cluster-wide. *)
-let cluster () =
+(* Two shards, one fingerprint per shard; events are cluster-wide.
+   [blocking] spins 2PC gate waits instead of parking them. *)
+let cluster ?(blocking = false) () =
   let cfg =
-    Config.with_shard ~shard:{ Config.default_shard with Config.sh_shards = 2 } (base ())
+    Config.with_shard
+      ~shard:{ Config.default_shard with Config.sh_shards = 2; Config.sh_blocking = blocking }
+      (base ())
   in
   let cl = Cluster.create ~cfg ~arrival_interval_us:80. () in
   Cluster.run cl ~horizon_sec:0.01;
@@ -87,6 +108,9 @@ let () =
           golden "mixed"
             "events=237259 Ckpt:4/0 NewOrder:186/1 Payment:133/0 Q2:46/0 no_p99=999423"
             mixed;
+          golden "mixed blocking"
+            "events=196644 Ckpt:4/0 NewOrder:173/2 Payment:145/0 Q2:33/0 no_p99=289810"
+            mixed_blocking;
           golden "tpcc"
             "events=18315 Delivery:18/0 NewOrder:164/3 OrderStatus:16/0 Payment:146/0 StockLevel:23/0 no_p99=159743"
             tpcc;
@@ -105,5 +129,8 @@ let () =
           golden "cluster"
             "events=9620 NewOrder:52/0 NewOrderX:8/0 Payment:61/0 PaymentX:4/0 XPart:14/0 no_p99=57741 | events=9620 NewOrder:44/0 NewOrderX:6/0 Payment:67/0 PaymentX:8/0 XPart:12/0 no_p99=57727"
             cluster;
+          golden "cluster blocking"
+            "events=12308 NewOrder:52/0 NewOrderX:7/1 Payment:61/0 PaymentX:4/0 XPart:13/1 no_p99=57741 | events=12308 NewOrder:44/0 NewOrderX:5/1 Payment:67/0 PaymentX:8/0 XPart:11/1 no_p99=177547"
+            (cluster ~blocking:true);
         ] );
     ]
