@@ -22,7 +22,7 @@ type bucket =
   | Queue_op  (** dequeue / queue bookkeeping *)
   | Retry_backoff  (** post-conflict exponential backoff *)
   | Coop_check  (** cooperative-policy yield checks *)
-  | Commit_publish  (** Commit_wait LSN publish *)
+  | Commit_publish  (** Wait token publish (LSN or 2PC gate) *)
   | Commit_spin  (** blocking-commit ablation spin *)
   | Commit_unpark  (** parked-commit resume *)
   | Fault_stall  (** injected region-stall cycles *)

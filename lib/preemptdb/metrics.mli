@@ -4,8 +4,9 @@ type class_stats = {
   end_to_end : Sim.Histogram.t;  (** submitted → finished, committed only *)
   scheduling : Sim.Histogram.t;  (** submitted → first micro-op *)
   commit_wait : Sim.Histogram.t;
-      (** durability only: commit-marker publish → ack (0 when the LSN was
-          already durable at publish) *)
+      (** durable commit waits only: commit-marker publish → ack (0 when
+          the LSN was already durable at publish); 2PC gate waits are not
+          recorded *)
   mutable committed : int;
   mutable aborted : int;  (** terminal aborts (user aborts + exhausted retries) *)
   mutable aborted_conflict : int;  (** by last abort reason: write conflict *)

@@ -61,7 +61,6 @@ let cycles t (op : Workload.Program.op) =
   | Yield_hint -> 0
   | Gc_scan -> t.gc_scan
   | Gc_unlink n -> t.gc_unlink_base + (n * t.gc_unlink_per_version)
-  | Commit_wait _ -> t.commit_wait_publish
-  (* gate publish rides the same cost knob as the commit publish: both are
-     "stash a wait token and tell the waker where to poke" *)
-  | Gate_wait _ -> t.commit_wait_publish
+  (* both wait kinds share one publish cost: "stash a wait token and tell
+     the waker where to poke" *)
+  | Wait _ -> t.commit_wait_publish

@@ -24,13 +24,12 @@ type t = {
   gc_unlink_base : int;
   gc_unlink_per_version : int;  (** per version cut off the chain *)
   commit_wait_publish : int;
-      (** publish the commit-marker LSN to the group-commit daemon
-          ([Commit_wait]'s charge — parking itself is free, the context
-          just stops running) *)
+      (** publish a wait token to its waker ([Wait]'s charge, either kind
+          — parking itself is free, the context just stops running) *)
   commit_unpark : int;
       (** reinstall a parked context after the unpark interrupt *)
   commit_wait_spin : int;
-      (** blocking-commit ablation: one durability re-check quantum *)
+      (** blocking ablations (either wait kind): one re-check quantum *)
 }
 
 val default : t

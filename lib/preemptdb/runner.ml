@@ -641,13 +641,15 @@ let workload_name = function
 
 let run ~workload ~cfg ?tpcc_cfg ?tpch_cfg ?ledger_cfg ?obs ?prepare ?arrival_interval_us
     ?lp_interval_us ?horizon_sec ?hp_batch ?urgent_batch ?empty_interrupt_ticks () =
-  let reject opt present ok =
+  let reject ?(hint = "") opt present ok =
     if present && not ok then
       invalid_arg
-        (Printf.sprintf "Runner.run: %s does not apply to the %s workload" opt
-           (workload_name workload))
+        (Printf.sprintf "Runner.run: %s does not apply to the %s workload%s" opt
+           (workload_name workload) hint)
   in
   let has = Option.is_some in
+  reject ~hint:" (run sharded configs with Shard.Cluster)" "cfg.shard"
+    (has cfg.Config.shard) false;
   reject "tpcc_cfg" (has tpcc_cfg) (workload <> Ledger);
   reject "tpch_cfg" (has tpch_cfg) (workload = Mixed || workload = Tiered);
   reject "ledger_cfg" (has ledger_cfg) (workload = Ledger);

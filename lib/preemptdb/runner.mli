@@ -336,7 +336,8 @@ val run :
     [Ledger], [tpcc_cfg] for [Ledger], [hp_batch] for [Tpcc] (no
     high-priority stream), [lp_interval_us] outside [Mixed],
     [empty_interrupt_ticks] outside [Tpcc], [urgent_batch] outside
-    [Tiered]. *)
+    [Tiered]; and for a sharded [cfg] ([cfg.shard] set) under any
+    workload — a sharded run is a [Shard.Cluster]. *)
 
 val maint_arg :
   assembly -> Config.t -> (Maint.Reclaimer.t * (submitted_at:int64 -> Request.t)) option

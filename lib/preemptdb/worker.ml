@@ -36,22 +36,21 @@ type slot = {
   mutable env : P.env option;
   mutable attempts : int;
   mutable blocked_since : int; (* local cycles, -1 = not blocked *)
-      (* set while the slot's transaction is at its Commit_wait op (before
+      (* set while the slot's transaction is at its Wait op (before
          parking, or across blocking-mode re-checks) *)
 }
 
-(* A transaction parked on commit durability or on a 2PC gate: everything
-   needed to reinstall it on its context when the completion interrupt
-   arrives.  The continuation [pk] resumes past the wait charge. *)
-type wait_kind = Wait_lsn of int | Wait_gate of int
-
+(* A transaction parked at a Wait op (commit durability or a 2PC gate):
+   everything needed to reinstall it on its context when the completion
+   interrupt arrives.  The continuation [pk] resumes past the wait charge. *)
 type parked = {
   preq : Request.t;
   penv : P.env;
   pk : P.resumption;
   pattempts : int;
   parked_at : int;  (* publish time (local cycles), for the commit-wait histogram *)
-  pkind : wait_kind;
+  pkind : P.wait_kind;
+  pid : int;  (* the awaited LSN or gate *)
 }
 
 type t = {
@@ -207,6 +206,9 @@ let set_durability t ~blocking daemon =
 let set_gates t ~blocking gates =
   t.gates <- gates;
   t.gate_blocking <- blocking
+
+(* A Wait op whose kind has no waker wired is a plain charged op. *)
+let waker_armed t = function P.Durable -> t.dur <> None | P.Gate -> t.gates <> None
 
 let parked_requests t = t.parked_count
 
@@ -619,10 +621,8 @@ and step_loop t des =
       let ctx = Hw.current_index t.hw in
       let slot = t.slots.(ctx) in
       match slot.step with
-      | Some (P.Pending (P.Commit_wait lsn, k)) when t.dur <> None ->
-        commit_wait t des ctx lsn k
-      | Some (P.Pending (P.Gate_wait g, k)) when t.gates <> None ->
-        gate_wait t des ctx g k
+      | Some (P.Pending ((P.Wait { kind; id } as op), k)) when waker_armed t kind ->
+        wait t des ctx op kind id k
       | Some (P.Pending (op, k)) ->
         execute_op t op k;
         step_loop t des
@@ -637,78 +637,90 @@ and step_loop t des =
     end
   end
 
-(* The transaction on [ctx] reached its Commit_wait op: its writes are
-   committed in memory but the commit is only acknowledged when marker
-   [lsn] is durable.  Three paths:
-   - already durable: ack immediately and resume;
+(* The transaction on [ctx] reached a Wait op: a durable commit whose
+   writes are committed in memory but acknowledged only when marker LSN
+   [id] is durable, or a 2PC round trip waiting for gate [id] (a
+   coordinator's vote collection, a participant's decision).  [kind]
+   selects the waker — the group-commit daemon or the gate registry — and
+   the per-kind counters and ablation switch.  Three paths:
+   - already satisfied: ack immediately and resume;
    - blocking ablation: hold the context, re-asking after a spin quantum
      (the match above did not consume the continuation — [slot.step] still
      carries the pending op, so every activation re-enters here);
-   - preemptible commit wait (the headline): park the transaction with
-     the daemon and free the slot, so this hardware thread immediately
-     acquires other work; flush completion sends a user interrupt whose
-     recognition resumes the parked continuation. *)
-and commit_wait t des ctx lsn k =
-  let d = match t.dur with Some d -> d | None -> assert false in
+   - preemptible wait (the headline): park the transaction with the waker
+     and free the slot, so this hardware thread immediately acquires other
+     work; the flush completion or gate resolution sends a user interrupt
+     whose recognition resumes the parked continuation.  A resumed 2PC
+     program reads the gate's value itself. *)
+and wait t des ctx op kind id k =
   let slot = t.slots.(ctx) in
-  let label =
-    match slot.req with Some r -> r.Request.label | None -> assert false
-  in
+  let st = t.st in
   let first = slot.blocked_since < 0 in
   if first then begin
-    (* Publish the LSN to the daemon — charged once, at the first
+    (* Publish the token to its waker — charged once, at the first
        encounter; blocking-mode re-checks only pay the spin quantum. *)
-    charge_b t Obs.Profiler.Commit_publish
-      (Op_costs.cycles t.cfg.Config.op_costs (P.Commit_wait lsn));
+    charge_b t Obs.Profiler.Commit_publish (Op_costs.cycles t.cfg.Config.op_costs op);
     let tcb = Hw.current t.hw in
     tcb.Tcb.rip <- tcb.Tcb.rip + 1;
-    (match t.op_probe with Some f -> f t (P.Commit_wait lsn) | None -> ());
+    (match t.op_probe with Some f -> f t op | None -> ());
     slot.blocked_since <- t.local
   end;
-  if Durability.Daemon.try_ack d ~lsn then begin
-    let waited =
-      if slot.blocked_since >= 0 then
-        Int64.of_int (t.local - slot.blocked_since)
-      else 0L
-    in
+  let ready =
+    match kind with
+    | P.Durable -> Durability.Daemon.try_ack (Option.get t.dur) ~lsn:id
+    | P.Gate -> Uintr.Gate.ready (Option.get t.gates) id
+  in
+  if ready then begin
+    let waited = t.local - slot.blocked_since in
     slot.blocked_since <- -1;
-    if first then t.st.dur_immediate <- t.st.dur_immediate + 1;
-    Metrics.record_commit_wait t.metrics label waited;
+    (match kind with
+    | P.Durable ->
+      if first then st.dur_immediate <- st.dur_immediate + 1;
+      let label = match slot.req with Some r -> r.Request.label | None -> assert false in
+      Metrics.record_commit_wait t.metrics label (Int64.of_int waited)
+    | P.Gate -> if first then st.gate_immediate <- st.gate_immediate + 1);
     slot.step <- Some (P.resume k);
     step_loop t des
   end
-  else if t.dur_blocking then begin
-    (* Wait-for-durability ablation: burn a re-check quantum and keep the
-       context.  Forward progress: the charge advances [local] past the
-       daemon's next sweep/flush event, and the run-ahead check at the top
-       of [step_loop] then defers this worker until it fires. *)
+  else if (match kind with P.Durable -> t.dur_blocking | P.Gate -> t.gate_blocking) then begin
+    (* Blocking ablation: burn a re-check quantum and keep the context.
+       Forward progress: the charge advances [local] past the waker's next
+       event (daemon sweep/flush, fabric delivery), and the run-ahead check
+       at the top of [step_loop] then defers this worker until it fires. *)
     let spin = t.cfg.Config.op_costs.Op_costs.commit_wait_spin in
     charge_b t Obs.Profiler.Commit_spin spin;
-    t.st.dur_block_cycles <- t.st.dur_block_cycles + spin;
+    (match kind with
+    | P.Durable -> st.dur_block_cycles <- st.dur_block_cycles + spin
+    | P.Gate -> st.gate_block_cycles <- st.gate_block_cycles + spin);
     step_loop t des
   end
   else begin
-    let p = park_slot t slot k ~kind:(Wait_lsn lsn) in
-    t.st.dur_parks <- t.st.dur_parks + 1;
-    if has_obs t then emit t (Obs.Event.Commit_park { lsn });
-    Durability.Daemon.park d ~lsn
-      ~notify:(fun () ->
-        (* Flush completion (daemon context): hand the transaction back to
-           its context's resume queue and nudge the worker through the
-           production interrupt path. *)
-        Queue.push p t.resumes.(ctx);
-        Uintr.Fabric.senduipi t.fabric t.uitt_index_;
-        if not t.scheduled then begin
-          t.scheduled <- true;
-          Sim.Des.schedule_at_int t.des ~time:(Sim.Des.now_int t.des)
-            t.activation
-        end);
+    let p = park_slot t slot k ~kind ~id in
+    let notify () =
+      (* Waker context: hand the transaction back to its context's resume
+         queue and nudge the worker through the production interrupt
+         path. *)
+      Queue.push p t.resumes.(ctx);
+      Uintr.Fabric.senduipi t.fabric t.uitt_index_;
+      if not t.scheduled then begin
+        t.scheduled <- true;
+        Sim.Des.schedule_at_int t.des ~time:(Sim.Des.now_int t.des) t.activation
+      end
+    in
+    (match kind with
+    | P.Durable ->
+      st.dur_parks <- st.dur_parks + 1;
+      if has_obs t then emit t (Obs.Event.Commit_park { lsn = id });
+      Durability.Daemon.park (Option.get t.dur) ~lsn:id ~notify
+    | P.Gate ->
+      st.gate_parks <- st.gate_parks + 1;
+      Uintr.Gate.park (Option.get t.gates) id ~notify);
     step_loop t des
   end
 
 (* Evacuate the slot's transaction into a [parked] record; the context is
    free as soon as the caller returns to [step_loop]. *)
-and park_slot t slot k ~kind =
+and park_slot t slot k ~kind ~id =
   let req = match slot.req with Some r -> r | None -> assert false in
   let env = match slot.env with Some e -> e | None -> assert false in
   let p =
@@ -717,8 +729,9 @@ and park_slot t slot k ~kind =
       penv = env;
       pk = k;
       pattempts = slot.attempts;
-      parked_at = (if slot.blocked_since >= 0 then slot.blocked_since else t.local);
+      parked_at = slot.blocked_since;
       pkind = kind;
+      pid = id;
     }
   in
   slot.req <- None;
@@ -729,68 +742,8 @@ and park_slot t slot k ~kind =
   t.parked_count <- t.parked_count + 1;
   p
 
-(* The transaction on [ctx] reached a Gate_wait op: it is inside a 2PC
-   round trip — a coordinator waiting for votes, or a participant waiting
-   for the decision.  Same three paths as [commit_wait], same machinery:
-   already-resolved gates ack immediately, the blocking ablation spins
-   holding the context, and the preemptible path (the headline) parks the
-   transaction with the gate registry and frees the slot — resolution
-   (vote arrival, decision delivery, or timeout) sends the wake-up
-   interrupt.  The resumed program reads the gate's value itself. *)
-and gate_wait t des ctx g k =
-  let gates = match t.gates with Some gs -> gs | None -> assert false in
-  let slot = t.slots.(ctx) in
-  let label =
-    match slot.req with Some r -> r.Request.label | None -> assert false
-  in
-  let first = slot.blocked_since < 0 in
-  if first then begin
-    charge_b t Obs.Profiler.Commit_publish
-      (Op_costs.cycles t.cfg.Config.op_costs (P.Gate_wait g));
-    let tcb = Hw.current t.hw in
-    tcb.Tcb.rip <- tcb.Tcb.rip + 1;
-    (match t.op_probe with Some f -> f t (P.Gate_wait g) | None -> ());
-    slot.blocked_since <- t.local
-  end;
-  if Uintr.Gate.ready gates g then begin
-    let waited =
-      if slot.blocked_since >= 0 then
-        Int64.of_int (t.local - slot.blocked_since)
-      else 0L
-    in
-    slot.blocked_since <- -1;
-    if first then t.st.gate_immediate <- t.st.gate_immediate + 1;
-    Metrics.record_commit_wait t.metrics label waited;
-    slot.step <- Some (P.resume k);
-    step_loop t des
-  end
-  else if t.gate_blocking then begin
-    (* Spin ablation: as in blocking commit waits, the charge advances
-       [local] past the next fabric event and the run-ahead check defers
-       this worker until the gate can have been resolved. *)
-    let spin = t.cfg.Config.op_costs.Op_costs.commit_wait_spin in
-    charge_b t Obs.Profiler.Commit_spin spin;
-    t.st.gate_block_cycles <- t.st.gate_block_cycles + spin;
-    step_loop t des
-  end
-  else begin
-    let p = park_slot t slot k ~kind:(Wait_gate g) in
-    t.st.gate_parks <- t.st.gate_parks + 1;
-    if has_obs t then emit t (Obs.Event.Commit_park { lsn = g });
-    Uintr.Gate.park gates g
-      ~notify:(fun () ->
-        Queue.push p t.resumes.(ctx);
-        Uintr.Fabric.senduipi t.fabric t.uitt_index_;
-        if not t.scheduled then begin
-          t.scheduled <- true;
-          Sim.Des.schedule_at_int t.des ~time:(Sim.Des.now_int t.des)
-            t.activation
-        end);
-    step_loop t des
-  end
-
 (* Reinstall a parked transaction on its (now free) context and resume it
-   past the Commit_wait / Gate_wait: the wait is over. *)
+   past the Wait op: the wait is over. *)
 and unpark t des ctx (p : parked) =
   (* The unpark is the first post-switch action when the resume came in on
      the flush-completion interrupt: close its switch->resume stage. *)
@@ -801,19 +754,14 @@ and unpark t des ctx (p : parked) =
   end;
   let slot = t.slots.(ctx) in
   t.parked_count <- t.parked_count - 1;
-  (match p.pkind with
-  | Wait_lsn _ -> t.st.dur_unparks <- t.st.dur_unparks + 1
-  | Wait_gate _ -> t.st.gate_unparks <- t.st.gate_unparks + 1);
   charge_b t Obs.Profiler.Commit_unpark t.cfg.Config.op_costs.Op_costs.commit_unpark;
-  let waited = max 0 (t.local - p.parked_at) in
-  Metrics.record_commit_wait t.metrics p.preq.Request.label (Int64.of_int waited);
-  if has_obs t then
-    emit t
-      (Obs.Event.Commit_unpark
-         {
-           lsn = (match p.pkind with Wait_lsn l -> l | Wait_gate g -> g);
-           wait = waited;
-         });
+  (match p.pkind with
+  | P.Durable ->
+    t.st.dur_unparks <- t.st.dur_unparks + 1;
+    let waited = max 0 (t.local - p.parked_at) in
+    Metrics.record_commit_wait t.metrics p.preq.Request.label (Int64.of_int waited);
+    if has_obs t then emit t (Obs.Event.Commit_unpark { lsn = p.pid; wait = waited })
+  | P.Gate -> t.st.gate_unparks <- t.st.gate_unparks + 1);
   slot.req <- Some p.preq;
   slot.env <- Some p.penv;
   slot.attempts <- p.pattempts;

@@ -151,16 +151,16 @@ val set_cost_multiplier_pct : t -> int -> unit
     @raise Invalid_argument when [pct < 1]. *)
 
 val set_durability : t -> blocking:bool -> Durability.Daemon.t option -> unit
-(** Wire the group-commit daemon: [Commit_wait] micro-ops consult it for
-    the ack decision.  [blocking] selects the ablation — the context spins
+(** Wire the group-commit daemon: [Wait { kind = Durable }] micro-ops
+    consult it for the ack decision.  [blocking] selects the ablation — the context spins
     re-checking durability instead of parking (the slot stays occupied).
     [None] detaches (commits ack immediately, as without durability). *)
 
 val set_gates : t -> blocking:bool -> Uintr.Gate.t option -> unit
-(** Wire a 2PC gate registry: [Gate_wait] micro-ops consult it.  [blocking]
-    selects the ablation — the context spins re-checking the gate instead
-    of parking.  [None] detaches ([Gate_wait] degrades to a plain charged
-    op, acking immediately). *)
+(** Wire a 2PC gate registry: [Wait { kind = Gate }] micro-ops consult it.
+    [blocking] selects the ablation — the context spins re-checking the
+    gate instead of parking.  [None] detaches (the wait degrades to a plain
+    charged op, acking immediately). *)
 
 val parked_requests : t -> int
 (** Requests parked on a commit LSN or a 2PC gate awaiting a wake-up

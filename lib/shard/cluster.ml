@@ -9,12 +9,9 @@ module Sc = Workload.Tpcc_schema
 module Tpcc = Workload.Tpcc
 module Tpcc_db = Workload.Tpcc_db
 module Tpcc_rand = Workload.Tpcc_rand
-module Idx = Workload.Idx
 module Engine = Storage.Engine
 module Txn = Storage.Txn
-module Value = Storage.Value
 module Err = Storage.Err
-open Storage.Value
 
 (* Global transaction ids live far above single-shard txn ids so a gid is
    recognizable in logs and artifacts; the decision timestamp is a dense
@@ -97,17 +94,6 @@ let send t ~src ~dst msg = Uintr.Channel.send t.links.(src).(dst) ~bytes:(Msg.by
 
 (* -- transaction building blocks ----------------------------------------- *)
 
-let not_found what =
-  failwith (Printf.sprintf "Shard.Cluster: %s not found (misrouted operation?)" what)
-
-let read_via (env : P.env) txn table idx key what =
-  match Idx.probe_int idx key with
-  | None -> not_found what
-  | Some oid -> (
-    match P.read env txn table ~oid with
-    | Some row -> oid, row
-    | None -> not_found what)
-
 (* Local prepare: acquire the planned commit latches and validate, but do
    NOT install — the transaction stays [Preparing], latches held, until
    the 2PC decision.  Unlike {!Program.commit}'s unbounded spin, a
@@ -150,27 +136,9 @@ let install_prepared (env : P.env) s ~gid txn =
            ~commit_ts:ts);
       ts)
 
-let stock_deduct (env : P.env) db txn ~w ~i ~qty ~remote =
-  let soid, srow = read_via env txn db.Tpcc_db.stock db.Tpcc_db.stock_idx (Sc.stock_key ~w ~i) "stock" in
-  let s_qty = Value.int_exn srow Sc.S.quantity in
-  let new_qty = if s_qty >= qty + 10 then s_qty - qty else s_qty - qty + 91 in
-  let srow = Value.set srow Sc.S.quantity (Int new_qty) in
-  let srow = Value.add_float srow Sc.S.ytd (float_of_int qty) in
-  let srow = Value.add_int srow Sc.S.order_cnt 1 in
-  let srow = if remote then Value.add_int srow Sc.S.remote_cnt 1 else srow in
-  P.update env txn db.Tpcc_db.stock ~oid:soid srow
-
 let apply_rop (env : P.env) db txn = function
-  | Msg.Stock_deduct { w; i; qty; remote } -> stock_deduct env db txn ~w ~i ~qty ~remote
-  | Msg.Customer_pay { w; d; c; amount } ->
-    let coid, crow =
-      read_via env txn db.Tpcc_db.customer db.Tpcc_db.customer_idx (Sc.customer_key ~w ~d ~c)
-        "customer"
-    in
-    let crow = Value.add_float crow Sc.C.balance (-.amount) in
-    let crow = Value.add_float crow Sc.C.ytd_payment amount in
-    let crow = Value.add_int crow Sc.C.payment_cnt 1 in
-    P.update env txn db.Tpcc_db.customer ~oid:coid crow
+  | Msg.Stock_deduct { w; i; qty; remote } -> Tpcc.stock_deduct db env txn ~w ~i ~qty ~remote
+  | Msg.Customer_pay { w; d; c; amount } -> Tpcc.customer_pay db env txn ~w ~d ~c ~amount
 
 (* -- coordinator programs ------------------------------------------------ *)
 
@@ -208,10 +176,10 @@ let run_2pc t s env ~groups ~body =
     | Error r -> raise (P.Txn_failed r)
     | Ok () -> ());
     let plsn = Durability.Log.append_prepare (shard_log s) ~worker:env.P.worker ~gid txn in
-    P.charge (P.Commit_wait plsn);
+    P.wait P.Durable plsn;
     let at = Sim.Des.now_int t.des + t.timeout_cycles in
     Sim.Des.schedule_at_int t.des ~time:at (fun _ -> Coordinator.timeout s.coord ~gid);
-    P.charge (P.Gate_wait gate);
+    P.wait P.Gate gate;
     if Uintr.Gate.value s.gates gate = 1 then begin
       let gts = decision_ts gid in
       let dlsn =
@@ -220,12 +188,10 @@ let run_2pc t s env ~groups ~body =
       in
       (* The decision record's durability is the distributed commit point:
          only after it may any participant learn the outcome. *)
-      P.charge (P.Commit_wait dlsn);
+      P.wait P.Durable dlsn;
       List.iter (fun p -> send t ~src:s.sid ~dst:p (Msg.Commit { gid; ts = gts })) participants;
       let ts = install_prepared env s ~gid txn in
-      (match txn.Txn.commit_lsn with
-      | Some l -> P.charge (P.Commit_wait l)
-      | None -> ());
+      Option.iter (P.wait P.Durable) txn.Txn.commit_lsn;
       s.xs_committed <- s.xs_committed + 1;
       P.Committed ts
     end
@@ -250,8 +216,9 @@ let run_2pc t s env ~groups ~body =
 (* Cross-shard NewOrder: the home slice (district sequence, order +
    order-line rows) runs locally; foreign order lines ship their stock
    deducts to the owning shards.  Line 0 is forced foreign so a cross
-   transaction always has at least one participant. *)
-let sharded_new_order t s ~home_w env =
+   transaction always has at least one participant (and the orders row is
+   never all-local). *)
+let cross_new_order t s ~home_w env =
   let db = s.db in
   let cfg = db.Tpcc_db.cfg in
   let rng = env.P.rng in
@@ -271,68 +238,15 @@ let sharded_new_order t s ~home_w env =
         (i, supply_w, qty))
   in
   let groups = group_lines t ~home:w lines in
-  let body txn =
-    let _, wrow = read_via env txn db.warehouse db.warehouse_idx w "warehouse" in
-    let w_tax = Value.float_exn wrow Sc.W.tax in
-    let doid, drow =
-      read_via env txn db.district db.district_idx (Sc.district_key ~w ~d) "district"
-    in
-    let d_tax = Value.float_exn drow Sc.D.tax in
-    let o_id = Value.int_exn drow Sc.D.next_o_id in
-    if o_id > Sc.max_order then raise (P.Txn_failed Err.User_abort);
-    P.update env txn db.district ~oid:doid (Value.add_int drow Sc.D.next_o_id 1);
-    let _, crow =
-      read_via env txn db.customer db.customer_idx (Sc.customer_key ~w ~d ~c) "customer"
-    in
-    let c_discount = Value.float_exn crow Sc.C.discount in
-    let otuple =
-      P.insert env txn db.orders
-        [| Int w; Int d; Int o_id; Int c; Int (-1); Int ol_cnt; Int 0; Int 0 |]
-    in
-    Idx.insert_int env txn db.orders_idx ~key:(Sc.order_key ~w ~d ~o:o_id)
-      ~oid:otuple.Storage.Tuple.oid;
-    Idx.insert_int env txn db.orders_by_customer_idx
-      ~key:(Sc.order_by_customer_key ~w ~d ~c ~o:o_id)
-      ~oid:otuple.Storage.Tuple.oid;
-    let ntuple = P.insert env txn db.new_order [| Int w; Int d; Int o_id |] in
-    Idx.insert_int env txn db.new_order_idx
-      ~key:(Sc.new_order_key ~w ~d ~o:o_id)
-      ~oid:ntuple.Storage.Tuple.oid;
-    List.iteri
-      (fun idx (i, supply_w, qty) ->
-        let _, irow = read_via env txn db.item db.item_idx i "item" in
-        let price = Value.float_exn irow Sc.I.price in
-        (* Foreign stock is deducted by the owning shard's participant
-           slice; the home slice only prices the line. *)
-        if supply_w = w then stock_deduct env db txn ~w ~i ~qty ~remote:false;
-        let amount = float_of_int qty *. price in
-        let n = idx + 1 in
-        let oltuple =
-          P.insert env txn db.order_line
-            [|
-              Int w;
-              Int d;
-              Int o_id;
-              Int n;
-              Int i;
-              Int supply_w;
-              Int qty;
-              Float (amount *. (1.0 +. w_tax +. d_tax) *. (1.0 -. c_discount));
-              Int (-1);
-              Str "dist-info-dist-info-dist";
-            |]
-        in
-        Idx.insert_int env txn db.order_line_idx
-          ~key:(Sc.order_line_key ~w ~d ~o:o_id ~n)
-          ~oid:oltuple.Storage.Tuple.oid)
-      lines;
-    P.compute 500
-  in
-  run_2pc t s env ~groups ~body
+  run_2pc t s env ~groups ~body:(fun txn ->
+      Tpcc.new_order_body db env txn ~w ~d ~c ~lines ~stock:(fun ~supply_w ~i ~qty ->
+          (* Foreign stock is deducted by the owning shard's participant
+             slice; the home slice only prices the line. *)
+          if supply_w = w then Tpcc.stock_deduct db env txn ~w ~i ~qty ~remote:false))
 
 (* Cross-shard Payment: warehouse/district ytd at home, the customer side
    shipped to the shard owning the remote warehouse. *)
-let sharded_payment t s ~home_w env =
+let cross_payment t s ~home_w env =
   let db = s.db in
   let cfg = db.Tpcc_db.cfg in
   let rng = env.P.rng in
@@ -346,17 +260,8 @@ let sharded_payment t s ~home_w env =
   let groups =
     [ (Router.shard_of t.router c_w, [ Msg.Customer_pay { w = c_w; d = c_d; c; amount } ]) ]
   in
-  let body txn =
-    let woid, wrow = read_via env txn db.warehouse db.warehouse_idx w "warehouse" in
-    P.update env txn db.warehouse ~oid:woid (Value.add_float wrow Sc.W.ytd amount);
-    let doid, drow =
-      read_via env txn db.district db.district_idx (Sc.district_key ~w ~d) "district"
-    in
-    P.update env txn db.district ~oid:doid (Value.add_float drow Sc.D.ytd amount);
-    ignore (P.insert env txn db.history [| Int c_w; Int c_d; Int 0; Float amount; Int 0 |]);
-    P.compute 300
-  in
-  run_2pc t s env ~groups ~body
+  run_2pc t s env ~groups ~body:(fun txn ->
+      Tpcc.payment_body db env txn ~w ~d ~c_w ~c_d ~amount ~customer:ignore)
 
 (* -- participant program ------------------------------------------------- *)
 
@@ -400,16 +305,14 @@ let participant_body t s ~gid ~origin ~ops env =
       Uintr.Gate.resolve s.gates g ~value:0
     end
     else begin
-      if not t.bug_early_vote then P.charge (P.Commit_wait plsn);
+      if not t.bug_early_vote then P.wait P.Durable plsn;
       s.votes_yes <- s.votes_yes + 1;
       send t ~src:s.sid ~dst:origin (Msg.Vote { gid; shard = s.sid; yes = true })
     end;
-    P.charge (P.Gate_wait g);
+    P.wait P.Gate g;
     if Uintr.Gate.value s.gates g = 1 then begin
       let ts = install_prepared env s ~gid txn in
-      (match txn.Txn.commit_lsn with
-      | Some l -> P.charge (P.Commit_wait l)
-      | None -> ());
+      Option.iter (P.wait P.Durable) txn.Txn.commit_lsn;
       P.Committed ts
     end
     else begin
@@ -639,8 +542,8 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
           match new_order, cross with
           | true, false -> "NewOrder", Tpcc.new_order s.db ~home_w
           | false, false -> "Payment", Tpcc.payment s.db ~home_w
-          | true, true -> "NewOrderX", sharded_new_order t s ~home_w
-          | false, true -> "PaymentX", sharded_payment t s ~home_w
+          | true, true -> "NewOrderX", cross_new_order t s ~home_w
+          | false, true -> "PaymentX", cross_payment t s ~home_w
         in
         Request.make ~id:(Runner.fresh_id s.node) ~label ~priority:Request.High ~prog ~rng
           ~submitted_at

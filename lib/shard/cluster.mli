@@ -15,13 +15,15 @@
     presumed abort:
 
     - the coordinator registers its vote gate, fans out [Prepare]s, runs
-      its local slice, latches + validates (local prepare), durably logs
-      a -3 prepare record, then {e parks} on the vote gate
-      ([Program.Gate_wait]) — released by the last yes vote, any no vote,
-      or the vote-collection timeout;
+      its local slice (the single-node {!Workload.Tpcc} body, minus the
+      rows other shards own), latches + validates (local prepare),
+      durably logs a -3 prepare record, then {e parks} on the vote gate
+      ([Program.Wait { kind = Gate }]) — released by the last yes vote,
+      any no vote, or the vote-collection timeout;
     - a participant re-executes the shipped {!Msg.rop}s, prepares, logs
       its own -3 record, waits for that record's flush
-      ([Program.Commit_wait]), votes yes, and parks on its decision gate;
+      ([Program.Wait { kind = Durable }]), votes yes, and parks on its
+      decision gate;
     - on all-yes the coordinator durably logs the -6 decision record (the
       distributed commit point), sends [Commit]s, and installs; on any
       failure it sends [Abort]s and presumes abort everywhere.

@@ -3,8 +3,8 @@
     A gate is a write-once cell another actor resolves exactly once (2PC:
     the coordinator's vote-collection outcome, a participant's
     commit/abort decision).  Waiting on a gate from a transaction program
-    is expressed as a [Gate_wait] micro-op, which the worker serves with
-    the same park/unpark machinery as durable-commit waits — so a 2PC
+    is expressed as a [Program.Wait { kind = Gate }] micro-op, which the
+    worker serves with the same routine as durable-commit waits — so a 2PC
     round trip never holds a context slot hostage.
 
     Registries are single-domain, like the DES: check-then-park within one

@@ -6,6 +6,8 @@ module Engine = Storage.Engine
 module Txn = Storage.Txn
 module Err = Storage.Err
 
+type wait_kind = Durable | Gate
+
 type op =
   | Index_probe
   | Index_insert
@@ -24,13 +26,10 @@ type op =
   | Yield_hint
   | Gc_scan
   | Gc_unlink of int
-  | Commit_wait of int
-      (* publish the commit-marker LSN and wait for durability; the worker
-         intercepts this op to park the context or spin (blocking mode) *)
-  | Gate_wait of int
-      (* wait for a one-shot protocol gate (2PC vote collection / decision
-         delivery); served by the worker with the same park/unpark or
-         blocking-spin machinery as Commit_wait *)
+  | Wait of { kind : wait_kind; id : int }
+      (* publish a wait token (commit-marker LSN or 2PC gate id) and wait
+         for it; the worker intercepts this op to park the context or spin
+         (blocking mode) *)
 
 let op_to_string = function
   | Index_probe -> "index-probe"
@@ -50,14 +49,14 @@ let op_to_string = function
   | Yield_hint -> "yield-hint"
   | Gc_scan -> "gc-scan"
   | Gc_unlink n -> Printf.sprintf "gc-unlink(%d)" n
-  | Commit_wait lsn -> Printf.sprintf "commit-wait(%d)" lsn
-  | Gate_wait g -> Printf.sprintf "gate-wait(%d)" g
+  | Wait { kind = Durable; id } -> Printf.sprintf "commit-wait(%d)" id
+  | Wait { kind = Gate; id } -> Printf.sprintf "gate-wait(%d)" id
 
 let is_record_access = function
   | Record_read | Record_write | Record_insert | Scan_step -> true
   | Index_probe | Index_insert | Index_remove | Compute _ | Spin _ | Txn_begin
   | Commit_latch | Commit_validate | Commit_install _ | Txn_abort | Yield_hint
-  | Gc_scan | Gc_unlink _ | Commit_wait _ | Gate_wait _ ->
+  | Gc_scan | Gc_unlink _ | Wait _ ->
     false
 
 type env = {
@@ -120,6 +119,7 @@ let charge op =
 
 let compute cycles = charge (Compute cycles)
 let yield_hint () = charge Yield_hint
+let wait kind id = charge (Wait { kind; id })
 
 exception Txn_failed of Err.abort_reason
 
@@ -201,7 +201,7 @@ let run_txn ?iso env body =
          LSN is flushed.  Charged OUTSIDE the non-preemptible commit
          region — the context may park here and must be preemptible. *)
       (match txn.Txn.commit_lsn with
-      | Some lsn -> charge (Commit_wait lsn)
+      | Some lsn -> wait Durable lsn
       | None -> ());
       Committed ts
     with Txn_failed r -> Aborted r)

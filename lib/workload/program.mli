@@ -14,6 +14,14 @@
     A program must be resumed to completion exactly once (continuations are
     one-shot); {!discard} abandons a suspended program safely. *)
 
+(** What a [Wait] micro-op waits for:
+    {v
+    kind     id                   satisfied when              waker
+    Durable  commit-marker LSN    the flush covers the LSN    group-commit daemon
+    Gate     Uintr.Gate id        the gate is resolved        2PC vote / decision / timeout
+    v} *)
+type wait_kind = Durable | Gate
+
 type op =
   | Index_probe  (** one B+tree point lookup *)
   | Index_insert
@@ -37,19 +45,15 @@ type op =
       (** reclamation: cut [n] dead versions off one chain — the only
           maintenance micro-op that mutates a chain, wrapped in a
           non-preemptible region by the reclaimer *)
-  | Commit_wait of int
-      (** durability: the transaction committed in memory and published
-          commit-marker LSN [n]; the worker intercepts this op and either
-          parks the context until the group-commit flush covers the LSN
-          (unparked by userspace interrupt) or, in the blocking ablation,
-          holds the context until durability catches up.  Charged outside
-          the non-preemptible commit region. *)
-  | Gate_wait of int
-      (** distributed commit: wait for one-shot protocol gate [n] (the 2PC
-          coordinator's vote-collection outcome, or a participant's
-          commit/abort decision).  Served by the worker with the same
-          park/unpark or blocking-spin machinery as [Commit_wait]; must
-          likewise be charged outside non-preemptible regions. *)
+  | Wait of { kind : wait_kind; id : int }
+      (** wait for token [id] of the given kind (table above).  The worker
+          intercepts this op: if the token is already satisfied it resumes
+          at once; otherwise it parks the transaction and frees the
+          context until the token's owner sends the wake-up user interrupt
+          or, in that kind's blocking ablation, holds the context and
+          re-checks after a spin quantum.  Must be charged outside
+          non-preemptible regions.  With no waker wired for the kind the
+          op is a plain charged micro-op. *)
 
 val op_to_string : op -> string
 
@@ -100,6 +104,9 @@ val compute : int -> unit
 (** [compute cycles] charges pure computation. *)
 
 val yield_hint : unit -> unit
+
+val wait : wait_kind -> int -> unit
+(** [wait kind id] charges [Wait { kind; id }]. *)
 
 exception Txn_failed of Storage.Err.abort_reason
 (** Raised by the charged helpers when the engine reports a conflict; the

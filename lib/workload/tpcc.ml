@@ -35,6 +35,83 @@ let read_via (env : P.env) txn table idx key what =
 
 (* -- NewOrder (spec 2.4) ------------------------------------------------ *)
 
+let stock_deduct (db : Tpcc_db.t) env txn ~w ~i ~qty ~remote =
+  let soid, srow = read_via env txn db.stock db.stock_idx (Sc.stock_key ~w ~i) "stock" in
+  let s_qty = Value.int_exn srow Sc.S.quantity in
+  let new_qty = if s_qty >= qty + 10 then s_qty - qty else s_qty - qty + 91 in
+  let srow = Value.set srow Sc.S.quantity (Int new_qty) in
+  let srow = Value.add_float srow Sc.S.ytd (float_of_int qty) in
+  let srow = Value.add_int srow Sc.S.order_cnt 1 in
+  let srow = if remote then Value.add_int srow Sc.S.remote_cnt 1 else srow in
+  P.update env txn db.stock ~oid:soid srow
+
+let new_order_body (db : Tpcc_db.t) env txn ~w ~d ~c ~lines ~stock =
+  let _, wrow = read_via env txn db.warehouse db.warehouse_idx w "warehouse" in
+  let w_tax = Value.float_exn wrow Sc.W.tax in
+  let doid, drow =
+    read_via env txn db.district db.district_idx (Sc.district_key ~w ~d) "district"
+  in
+  let d_tax = Value.float_exn drow Sc.D.tax in
+  let o_id = Value.int_exn drow Sc.D.next_o_id in
+  if o_id > Sc.max_order then raise (P.Txn_failed Err.User_abort);
+  P.update env txn db.district ~oid:doid (Value.add_int drow Sc.D.next_o_id 1);
+  let _, crow =
+    read_via env txn db.customer db.customer_idx (Sc.customer_key ~w ~d ~c) "customer"
+  in
+  let c_discount = Value.float_exn crow Sc.C.discount in
+  let all_local = List.for_all (fun (_, sw, _) -> sw = w) lines in
+  let ol_cnt = List.length lines in
+  let otuple =
+    P.insert env txn db.orders
+      [|
+        Int w;
+        Int d;
+        Int o_id;
+        Int c;
+        Int (-1);
+        Int ol_cnt;
+        Int (if all_local then 1 else 0);
+        Int 0;
+      |]
+  in
+  Idx.insert_int env txn db.orders_idx ~key:(Sc.order_key ~w ~d ~o:o_id)
+    ~oid:otuple.Storage.Tuple.oid;
+  Idx.insert_int env txn db.orders_by_customer_idx
+    ~key:(Sc.order_by_customer_key ~w ~d ~c ~o:o_id)
+    ~oid:otuple.Storage.Tuple.oid;
+  let ntuple = P.insert env txn db.new_order [| Int w; Int d; Int o_id |] in
+  Idx.insert_int env txn db.new_order_idx
+    ~key:(Sc.new_order_key ~w ~d ~o:o_id)
+    ~oid:ntuple.Storage.Tuple.oid;
+  List.iteri
+    (fun idx (i, supply_w, qty) ->
+      if i < 0 then raise (P.Txn_failed Err.User_abort);
+      let _, irow = read_via env txn db.item db.item_idx i "item" in
+      let price = Value.float_exn irow Sc.I.price in
+      stock ~supply_w ~i ~qty;
+      let amount = float_of_int qty *. price in
+      let n = idx + 1 in
+      let oltuple =
+        P.insert env txn db.order_line
+          [|
+            Int w;
+            Int d;
+            Int o_id;
+            Int n;
+            Int i;
+            Int supply_w;
+            Int qty;
+            Float (amount *. (1.0 +. w_tax +. d_tax) *. (1.0 -. c_discount));
+            Int (-1);
+            Str "dist-info-dist-info-dist";
+          |]
+      in
+      Idx.insert_int env txn db.order_line_idx
+        ~key:(Sc.order_line_key ~w ~d ~o:o_id ~n)
+        ~oid:oltuple.Storage.Tuple.oid)
+    lines;
+  P.compute 500
+
 let new_order (db : Tpcc_db.t) ~home_w env =
   let cfg = db.Tpcc_db.cfg in
   let rng = env.P.rng in
@@ -59,79 +136,8 @@ let new_order (db : Tpcc_db.t) ~home_w env =
         i, supply_w, Sim.Rng.int_in rng 1 10)
   in
   P.run_txn env (fun txn ->
-      let _, wrow = read_via env txn db.warehouse db.warehouse_idx w "warehouse" in
-      let w_tax = Value.float_exn wrow Sc.W.tax in
-      let doid, drow =
-        read_via env txn db.district db.district_idx (Sc.district_key ~w ~d) "district"
-      in
-      let d_tax = Value.float_exn drow Sc.D.tax in
-      let o_id = Value.int_exn drow Sc.D.next_o_id in
-      if o_id > Sc.max_order then raise (P.Txn_failed Err.User_abort);
-      P.update env txn db.district ~oid:doid (Value.add_int drow Sc.D.next_o_id 1);
-      let _, crow =
-        read_via env txn db.customer db.customer_idx (Sc.customer_key ~w ~d ~c) "customer"
-      in
-      let c_discount = Value.float_exn crow Sc.C.discount in
-      let all_local = List.for_all (fun (_, sw, _) -> sw = w) lines in
-      let otuple =
-        P.insert env txn db.orders
-          [|
-            Int w;
-            Int d;
-            Int o_id;
-            Int c;
-            Int (-1);
-            Int ol_cnt;
-            Int (if all_local then 1 else 0);
-            Int 0;
-          |]
-      in
-      Idx.insert_int env txn db.orders_idx ~key:(Sc.order_key ~w ~d ~o:o_id)
-        ~oid:otuple.Storage.Tuple.oid;
-      Idx.insert_int env txn db.orders_by_customer_idx
-        ~key:(Sc.order_by_customer_key ~w ~d ~c ~o:o_id)
-        ~oid:otuple.Storage.Tuple.oid;
-      let ntuple = P.insert env txn db.new_order [| Int w; Int d; Int o_id |] in
-      Idx.insert_int env txn db.new_order_idx
-        ~key:(Sc.new_order_key ~w ~d ~o:o_id)
-        ~oid:ntuple.Storage.Tuple.oid;
-      List.iteri
-        (fun idx (i, supply_w, qty) ->
-          if i < 0 then raise (P.Txn_failed Err.User_abort);
-          let _, irow = read_via env txn db.item db.item_idx i "item" in
-          let price = Value.float_exn irow Sc.I.price in
-          let soid, srow =
-            read_via env txn db.stock db.stock_idx (Sc.stock_key ~w:supply_w ~i) "stock"
-          in
-          let s_qty = Value.int_exn srow Sc.S.quantity in
-          let new_qty = if s_qty >= qty + 10 then s_qty - qty else s_qty - qty + 91 in
-          let srow = Value.set srow Sc.S.quantity (Int new_qty) in
-          let srow = Value.add_float srow Sc.S.ytd (float_of_int qty) in
-          let srow = Value.add_int srow Sc.S.order_cnt 1 in
-          let srow = if supply_w <> w then Value.add_int srow Sc.S.remote_cnt 1 else srow in
-          P.update env txn db.stock ~oid:soid srow;
-          let amount = float_of_int qty *. price in
-          let n = idx + 1 in
-          let oltuple =
-            P.insert env txn db.order_line
-              [|
-                Int w;
-                Int d;
-                Int o_id;
-                Int n;
-                Int i;
-                Int supply_w;
-                Int qty;
-                Float (amount *. (1.0 +. w_tax +. d_tax) *. (1.0 -. c_discount));
-                Int (-1);
-                Str "dist-info-dist-info-dist";
-              |]
-          in
-          Idx.insert_int env txn db.order_line_idx
-            ~key:(Sc.order_line_key ~w ~d ~o:o_id ~n)
-            ~oid:oltuple.Storage.Tuple.oid)
-        lines;
-      P.compute 500)
+      new_order_body db env txn ~w ~d ~c ~lines ~stock:(fun ~supply_w ~i ~qty ->
+          stock_deduct db env txn ~w:supply_w ~i ~qty ~remote:(supply_w <> w)))
 
 (* -- Payment (spec 2.5) -------------------------------------------------- *)
 
@@ -161,6 +167,28 @@ let select_customer (db : Tpcc_db.t) env txn ~w ~d =
     read_via env txn db.customer db.customer_idx (Sc.customer_key ~w ~d ~c) "customer"
   end
 
+let credit_payment crow ~amount =
+  let crow = Value.add_float crow Sc.C.balance (-.amount) in
+  let crow = Value.add_float crow Sc.C.ytd_payment amount in
+  Value.add_int crow Sc.C.payment_cnt 1
+
+let customer_pay (db : Tpcc_db.t) env txn ~w ~d ~c ~amount =
+  let coid, crow =
+    read_via env txn db.customer db.customer_idx (Sc.customer_key ~w ~d ~c) "customer"
+  in
+  P.update env txn db.customer ~oid:coid (credit_payment crow ~amount)
+
+let payment_body (db : Tpcc_db.t) env txn ~w ~d ~c_w ~c_d ~amount ~customer =
+  let woid, wrow = read_via env txn db.warehouse db.warehouse_idx w "warehouse" in
+  P.update env txn db.warehouse ~oid:woid (Value.add_float wrow Sc.W.ytd amount);
+  let doid, drow =
+    read_via env txn db.district db.district_idx (Sc.district_key ~w ~d) "district"
+  in
+  P.update env txn db.district ~oid:doid (Value.add_float drow Sc.D.ytd amount);
+  customer ();
+  ignore (P.insert env txn db.history [| Int c_w; Int c_d; Int 0; Float amount; Int 0 |]);
+  P.compute 300
+
 let payment (db : Tpcc_db.t) ~home_w env =
   let cfg = db.Tpcc_db.cfg in
   let rng = env.P.rng in
@@ -178,27 +206,15 @@ let payment (db : Tpcc_db.t) ~home_w env =
     else w, d
   in
   P.run_txn env (fun txn ->
-      let woid, wrow = read_via env txn db.warehouse db.warehouse_idx w "warehouse" in
-      P.update env txn db.warehouse ~oid:woid (Value.add_float wrow Sc.W.ytd amount);
-      let doid, drow =
-        read_via env txn db.district db.district_idx (Sc.district_key ~w ~d) "district"
-      in
-      P.update env txn db.district ~oid:doid (Value.add_float drow Sc.D.ytd amount);
-      let coid, crow = select_customer db env txn ~w:c_w ~d:c_d in
-      let crow = Value.add_float crow Sc.C.balance (-.amount) in
-      let crow = Value.add_float crow Sc.C.ytd_payment amount in
-      let crow = Value.add_int crow Sc.C.payment_cnt 1 in
-      let crow =
-        if String.equal (Value.str_exn crow Sc.C.credit) "BC" then
-          Value.set crow Sc.C.data (Str "bad-credit-history-gets-rewritten-here")
-        else crow
-      in
-      P.update env txn db.customer ~oid:coid crow;
-      let htuple =
-        P.insert env txn db.history [| Int c_w; Int c_d; Int 0; Float amount; Int 0 |]
-      in
-      ignore htuple;
-      P.compute 300)
+      payment_body db env txn ~w ~d ~c_w ~c_d ~amount ~customer:(fun () ->
+          let coid, crow = select_customer db env txn ~w:c_w ~d:c_d in
+          let crow = credit_payment crow ~amount in
+          let crow =
+            if String.equal (Value.str_exn crow Sc.C.credit) "BC" then
+              Value.set crow Sc.C.data (Str "bad-credit-history-gets-rewritten-here")
+            else crow
+          in
+          P.update env txn db.customer ~oid:coid crow))
 
 (* -- OrderStatus (spec 2.6) ---------------------------------------------- *)
 

@@ -732,7 +732,9 @@ let test_run_rejects_inapplicable_options () =
       Runner.run ~workload:Runner.Mixed ~cfg ~urgent_batch:1 ());
   rejects "tpcc_cfg for ledger" (fun () ->
       Runner.run ~workload:Runner.Ledger ~cfg
-        ~tpcc_cfg:(Workload.Tpcc_schema.small ~warehouses:2) ())
+        ~tpcc_cfg:(Workload.Tpcc_schema.small ~warehouses:2) ());
+  rejects "sharded config" (fun () ->
+      Runner.run ~workload:Runner.Tpcc ~cfg:(Config.with_shard cfg) ())
 
 let () =
   Alcotest.run "preemptdb"

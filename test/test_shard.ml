@@ -252,6 +252,30 @@ let test_cluster_replicates () =
     (run_cluster cfg);
   check_atomic_clean cfg
 
+(* -- Wait accounting ------------------------------------------------------ *)
+
+(* The commit-wait histogram measures durable commits only: every entry is
+   a durable wait acked at once or unparked, and 2PC gate waits — some of
+   which park here — stay out of it. *)
+let test_commit_wait_histogram_durable_only () =
+  let cl = Shard.Cluster.create ~cfg:(shard_cfg ()) ~arrival_interval_us:80. () in
+  Shard.Cluster.run cl ~horizon_sec:0.01;
+  let recorded = ref 0 and durable = ref 0 and gate_parks = ref 0 in
+  for sid = 0 to Shard.Cluster.n_shards cl - 1 do
+    List.iter
+      (fun (_, (c : Preemptdb.Metrics.class_stats)) ->
+        recorded := !recorded + Sim.Histogram.count c.Preemptdb.Metrics.commit_wait)
+      (Preemptdb.Metrics.classes (Shard.Cluster.metrics cl ~sid));
+    Array.iter
+      (fun w ->
+        let st = Preemptdb.Worker.stats w in
+        durable := !durable + st.Preemptdb.Worker.dur_immediate + st.Preemptdb.Worker.dur_unparks;
+        gate_parks := !gate_parks + st.Preemptdb.Worker.gate_parks)
+      (Shard.Cluster.workers cl ~sid)
+  done;
+  checkb "some gate waits parked" true (!gate_parks > 0);
+  checki "histogram entries = durable waits acked or unparked" !durable !recorded
+
 let () =
   Alcotest.run "shard"
     [
@@ -282,5 +306,10 @@ let () =
         [
           Alcotest.test_case "every shard reclaims" `Quick test_cluster_reclaims;
           Alcotest.test_case "every shard's standby applies" `Quick test_cluster_replicates;
+        ] );
+      ( "waits",
+        [
+          Alcotest.test_case "commit-wait histogram counts durable waits only" `Quick
+            test_commit_wait_histogram_durable_only;
         ] );
     ]

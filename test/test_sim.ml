@@ -5,7 +5,6 @@ module Event_queue = Sim.Event_queue
 module Event_queue_ref = Sim.Event_queue_ref
 module Rng = Sim.Rng
 module Histogram = Sim.Histogram
-module Stats = Sim.Stats
 module Des = Sim.Des
 
 let check = Alcotest.check
@@ -248,6 +247,20 @@ let test_hist_errors () =
   Alcotest.check_raises "p out of range" (Invalid_argument "Histogram.percentile: p out of [0,100]")
     (fun () -> ignore (Histogram.percentile h 101.))
 
+(* Exact nearest-rank percentile of a non-empty sample: the oracle the
+   histogram's approximate percentiles are checked against. *)
+let nearest_rank xs p =
+  let sorted = Array.copy xs in
+  Array.sort compare sorted;
+  let n = Array.length sorted in
+  let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
+  sorted.(max 1 (min n rank) - 1)
+
+let test_nearest_rank () =
+  let xs = [| 4.; 1.; 3.; 2. |] in
+  check (Alcotest.float 1e-9) "p50" 2.0 (nearest_rank xs 50.);
+  check (Alcotest.float 1e-9) "p100" 4.0 (nearest_rank xs 100.)
+
 (* Quantile accuracy: the histogram's reported percentile must be within
    the bucket's relative-error bound of the exact nearest-rank value. *)
 let prop_hist_percentile_accuracy =
@@ -256,9 +269,7 @@ let prop_hist_percentile_accuracy =
     (fun samples ->
       let h = Histogram.create ~sub_buckets:64 () in
       List.iter (fun v -> Histogram.record h (Int64.of_int v)) samples;
-      let exact =
-        Stats.percentile (Array.of_list (List.map float_of_int samples))
-      in
+      let exact = nearest_rank (Array.of_list (List.map float_of_int samples)) in
       List.for_all
         (fun p ->
           let approx = Int64.to_float (Histogram.percentile h p) in
@@ -283,21 +294,6 @@ let prop_hist_merge_is_union =
           || List.for_all
                (fun p -> Histogram.percentile a p = Histogram.percentile u p)
                [ 1.; 50.; 99.; 100. ]))
-
-(* -- Stats ----------------------------------------------------------------- *)
-
-let test_stats () =
-  let xs = [| 4.; 1.; 3.; 2. |] in
-  check (Alcotest.float 1e-9) "mean" 2.5 (Stats.mean xs);
-  check (Alcotest.float 1e-9) "sum" 10.0 (Stats.sum xs);
-  check (Alcotest.float 1e-9) "p50" 2.0 (Stats.percentile xs 50.);
-  check (Alcotest.float 1e-9) "p100" 4.0 (Stats.percentile xs 100.);
-  check (Alcotest.float 1e-6) "geomean of 2,8" 4.0 (Stats.geomean [| 2.; 8. |]);
-  check (Alcotest.float 1e-6) "stddev" (sqrt 1.25) (Stats.stddev xs);
-  Alcotest.check_raises "geomean non-positive" (Invalid_argument "Stats.geomean: non-positive value")
-    (fun () -> ignore (Stats.geomean [| 1.; 0. |]));
-  Alcotest.check_raises "empty mean" (Invalid_argument "Stats.mean: empty input") (fun () ->
-      ignore (Stats.mean [||]))
 
 (* -- Des -------------------------------------------------------------------- *)
 
@@ -545,10 +541,10 @@ let () =
           Alcotest.test_case "merge" `Quick test_hist_merge;
           Alcotest.test_case "reset" `Quick test_hist_reset;
           Alcotest.test_case "errors" `Quick test_hist_errors;
+          Alcotest.test_case "nearest-rank oracle" `Quick test_nearest_rank;
         ]
         @ qsuite
             [ prop_hist_percentile_accuracy; prop_hist_merge_is_union; prop_hist_percentile_monotone ] );
-      ("stats", [ Alcotest.test_case "oracles" `Quick test_stats ]);
       ( "des",
         [
           Alcotest.test_case "ordering" `Quick test_des_ordering;
