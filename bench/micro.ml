@@ -13,15 +13,16 @@ let make_btree n =
   done;
   t
 
+(* [n] committed versions, newest (ts [n * 10]) first: a snapshot at ts 80
+   walks past [n - 8] newer versions before it finds one. *)
 let make_chain n =
-  let rec build i next =
-    if i = 0 then next
+  let rec build i head =
+    if i > n then head
     else
       let v = Storage.Version.committed ~ts:(Int64.of_int (i * 10)) (Some [| Storage.Value.Int i |]) in
-      v.Storage.Version.next <- next;
-      build (i - 1) (Some v)
+      build (i + 1) (Storage.Version.push v ~onto:head)
   in
-  build n None
+  build 1 Storage.Version.nil
 
 (* -- event-queue steady state: wheel vs reference heap ----------------------
    The DES's rhythm at a fixed backlog: each step pops the minimum and

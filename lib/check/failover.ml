@@ -59,11 +59,10 @@ let actual_state (eng : Storage.Engine.t) =
       let name = Table.name table in
       if name <> Replication.Failover.probe_table then
         Table.iter table (fun tuple ->
-            match Version.latest_committed (Tuple.head tuple) with
-            | Some v ->
+            let v = Version.latest_committed (Tuple.head tuple) in
+            if not (Version.is_nil v) then
               Hashtbl.replace act (name, tuple.Tuple.oid)
-                (v.Version.begin_ts, v.Version.data)
-            | None -> ()))
+                (v.Version.begin_ts, v.Version.data)))
     (Storage.Engine.tables eng);
   act
 

@@ -48,29 +48,27 @@ let rec_of t (txn : Txn.t) =
 let observer t : Storage.Engine.observer =
   {
     obs_read =
-      (fun ~txn ~table ~oid ~version ->
+      (fun ~txn ~table ~oid ~version:v ->
         let r = rec_of t txn in
-        match version with
-        | None -> r.ft_missing <- r.ft_missing + 1
-        | Some v ->
-          if Version.is_committed v then begin
-            let rr =
-              { r_table = Storage.Table.name table; r_oid = oid; r_observed = v.Version.begin_ts }
-            in
-            if
-              not
-                (List.exists
-                   (fun x ->
-                     x.r_oid = oid
-                     && Int64.equal x.r_observed rr.r_observed
-                     && String.equal x.r_table rr.r_table)
-                   r.ft_reads)
-            then r.ft_reads <- rr :: r.ft_reads
-          end
-          else if v.Version.writer = Some txn.Txn.id then r.ft_own_reads <- r.ft_own_reads + 1
-          else
-            r.ft_foreign_inflight <-
-              (Storage.Table.name table, oid) :: r.ft_foreign_inflight);
+        if Version.is_nil v then r.ft_missing <- r.ft_missing + 1
+        else if Version.is_committed v then begin
+          let rr =
+            { r_table = Storage.Table.name table; r_oid = oid; r_observed = v.Version.begin_ts }
+          in
+          if
+            not
+              (List.exists
+                 (fun x ->
+                   x.r_oid = oid
+                   && Int64.equal x.r_observed rr.r_observed
+                   && String.equal x.r_table rr.r_table)
+                 r.ft_reads)
+          then r.ft_reads <- rr :: r.ft_reads
+        end
+        else if Version.written_by v txn.Txn.id then r.ft_own_reads <- r.ft_own_reads + 1
+        else
+          r.ft_foreign_inflight <-
+            (Storage.Table.name table, oid) :: r.ft_foreign_inflight);
     obs_write =
       (fun ~txn ~table ~oid ->
         let r = rec_of t txn in

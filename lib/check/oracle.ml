@@ -68,7 +68,7 @@ let version_chains eng =
     (fun table ->
       Storage.Table.iter table (fun tuple ->
           if
-            (not (Storage.Version.well_formed tuple.Storage.Tuple.chain))
+            (not (Storage.Version.well_formed (Storage.Tuple.head tuple)))
             && List.length !out < 20
           then
             out :=

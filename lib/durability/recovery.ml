@@ -68,14 +68,14 @@ module Applier = struct
       ignore (Table.alloc table)
     done;
     let tuple = Table.get table oid in
-    (match Version.latest_committed (Tuple.head tuple) with
-    | Some v when Int64.compare v.Version.begin_ts ts > 0 -> ()
-    | Some v when Int64.compare v.Version.begin_ts ts = 0 ->
+    let v = Version.latest_committed (Tuple.head tuple) in
+    let c = if Version.is_nil v then -1 else Int64.compare v.Version.begin_ts ts in
+    if c = 0 then
       (* same transaction seen twice (image + replay, or a re-write):
          later replay wins in place, keeping timestamps strictly
          decreasing along the chain *)
-      v.Version.data <- payload
-    | _ -> Tuple.install tuple (Version.committed ~ts payload));
+      Version.set_data v payload
+    else if c < 0 then Tuple.install tuple (Version.committed ~ts payload);
     if Int64.compare ts t.max_ts > 0 then t.max_ts <- ts
 
   let load_image t image =

@@ -105,20 +105,13 @@ let claim_range t =
    a user interrupt landing mid-unlink is rejected and recognized at the
    next boundary, exactly like the staged-commit critical section. *)
 let reclaim_tuple t env table tuple ~boundary =
-  let rec find_kept = function
-    | None -> None
-    | Some v ->
-      if Version.is_committed v && Int64.compare v.Version.begin_ts boundary <= 0 then
-        Some v
-      else find_kept v.Version.next
-  in
-  match find_kept (Tuple.head tuple) with
-  | Some kept when kept.Version.next <> None ->
+  let kept = Version.boundary_version (Tuple.head tuple) ~boundary in
+  let below = Version.older kept in
+  if not (Version.is_nil below) then
     P.non_preemptible env (fun () ->
         let dropped =
           if t.audit_enabled then
-            List.rev
-              (Version.fold (fun acc v -> v.Version.begin_ts :: acc) [] kept.Version.next)
+            List.rev (Version.fold (fun acc v -> v.Version.begin_ts :: acc) [] below)
           else []
         in
         let n =
@@ -138,7 +131,6 @@ let reclaim_tuple t env table tuple ~boundary =
             }
             :: t.audits_;
         P.charge (P.Gc_unlink n))
-  | _ -> ()
 
 let chunk_program t : P.t =
  fun env ->

@@ -80,16 +80,13 @@ type t = { mutable workers : worker list (* ascending wid *) }
 
 let create () = { workers = [] }
 
-let no_cell = ref 0
-
+(* The memo starts on the slice's own cell for label [""], registered like
+   any other class, so a transaction with an empty label is still
+   reported. *)
 let new_worker wid =
-  {
-    wid;
-    cells = Array.make n_fixed 0;
-    txn = Hashtbl.create 8;
-    memo_label = "";
-    memo_cell = no_cell;
-  }
+  let txn = Hashtbl.create 8 and empty = ref 0 in
+  Hashtbl.add txn "" empty;
+  { wid; cells = Array.make n_fixed 0; txn; memo_label = ""; memo_cell = empty }
 
 let worker t ~wid =
   match List.find_opt (fun w -> w.wid = wid) t.workers with

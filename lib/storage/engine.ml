@@ -11,7 +11,7 @@ type stats = {
 }
 
 type observer = {
-  obs_read : txn:Txn.t -> table:Table.t -> oid:int -> version:Version.t option -> unit;
+  obs_read : txn:Txn.t -> table:Table.t -> oid:int -> version:Version.t -> unit;
   obs_write : txn:Txn.t -> table:Table.t -> oid:int -> unit;
   obs_commit : txn:Txn.t -> commit_ts:int64 -> unit;
   obs_abort : txn:Txn.t -> reason:Err.abort_reason -> unit;
@@ -167,26 +167,26 @@ let read t txn table ~oid =
   let tuple = Table.get table oid in
   let version =
     match txn.Txn.iso with
-    | Txn.Read_committed -> (
-      match Txn.find_write txn tuple with
-      | Some w -> Some w.Txn.wversion
-      | None -> (
-        match Version.latest_committed (Tuple.head tuple) with
-        | Some v ->
-          track_read txn table tuple v;
-          Some v
-        | None -> None))
-    | Txn.Si | Txn.Serializable -> (
-      match Version.snapshot_read (Tuple.head tuple) ~snapshot:txn.Txn.begin_ts ~reader:txn.Txn.id with
-      | Some v ->
-        if Version.is_committed v then track_read txn table tuple v;
-        Some v
-      | None -> None)
+    | Txn.Read_committed ->
+      let own = Txn.own_version txn tuple in
+      if not (Version.is_nil own) then own
+      else begin
+        let v = Version.latest_committed (Tuple.head tuple) in
+        if not (Version.is_nil v) then track_read txn table tuple v;
+        v
+      end
+    | Txn.Si | Txn.Serializable ->
+      let v =
+        Version.snapshot_read (Tuple.head tuple) ~snapshot:txn.Txn.begin_ts ~reader:txn.Txn.id
+      in
+      if (not (Version.is_nil v)) && Version.is_committed v then track_read txn table tuple v;
+      v
   in
   (match t.observer with
   | Some o -> o.obs_read ~txn ~table ~oid ~version
   | None -> ());
-  match version with Some v -> v.Version.data | None -> None
+  (* [nil] carries no row, like a tombstone *)
+  version.Version.data
 
 let install_write t txn table tuple data =
   let version = Version.in_flight_of t.pool ~writer:txn.Txn.id data in
@@ -199,14 +199,15 @@ let notify_write t txn table oid =
 let write_internal t txn table ~oid data op =
   require_active txn op;
   let tuple = Table.get table oid in
-  match Txn.find_write txn tuple with
-  | Some w ->
+  let own = Txn.own_version txn tuple in
+  if not (Version.is_nil own) then begin
     (* Second write by the same transaction: update the in-flight version
        in place. *)
-    w.Txn.wversion.Version.data <- data;
+    Version.set_data own data;
     notify_write t txn table oid;
     Ok ()
-  | None when t.fault = Some Skip_write_lock ->
+  end
+  else if t.fault = Some Skip_write_lock then begin
     (* Injected bug (checker self-test): install blindly, skipping the
        first-updater-wins check, the snapshot-freshness check and the
        install latch — the classic lost-update race the serializability
@@ -214,33 +215,35 @@ let write_internal t txn table ~oid data op =
     install_write t txn table tuple data;
     notify_write t txn table oid;
     Ok ()
-  | None -> (
-    match Tuple.head tuple with
-    | Some head when not (Version.is_committed head) ->
+  end
+  else begin
+    let head = Tuple.head tuple in
+    if not (Version.is_committed head) then
       (* First-updater-wins: someone else's in-flight version is at the
          head. *)
       Error Err.Write_conflict
-    | head ->
+    else begin
+      (* The head is the latest committed version (or [nil], whose
+         timestamp is older than every snapshot). *)
       let committed_too_new =
         match txn.Txn.iso with
         | Txn.Read_committed -> false
-        | Txn.Si | Txn.Serializable -> (
-          match Version.latest_committed head with
-          | Some v -> Int64.compare v.Version.begin_ts txn.Txn.begin_ts > 0
-          | None -> false)
+        | Txn.Si | Txn.Serializable -> Int64.compare head.Version.begin_ts txn.Txn.begin_ts > 0
       in
       if committed_too_new then Error Err.Write_conflict
       else if
         (* A serializable certifier may hold this latch across commit
            stages; a write squeezing in would fail its validation anyway. *)
-        not (Latch.try_acquire tuple.Tuple.latch ~owner:txn.Txn.id)
+        not (Tuple.try_acquire tuple ~owner:txn.Txn.id)
       then Error Err.Write_conflict
       else begin
         install_write t txn table tuple data;
-        Latch.release tuple.Tuple.latch ~owner:txn.Txn.id;
+        Tuple.release tuple ~owner:txn.Txn.id;
         notify_write t txn table oid;
         Ok ()
-      end)
+      end
+    end
+  end
 
 let update t txn table ~oid data =
   t.st.updates <- t.st.updates + 1;
@@ -288,14 +291,11 @@ let commit_latch_next t txn =
   if txn.Txn.latched >= Array.length txn.Txn.latch_plan then `Done
   else begin
     let tuple = txn.Txn.latch_plan.(txn.Txn.latched) in
-    if Latch.try_acquire tuple.Tuple.latch ~owner:txn.Txn.id then begin
+    if Tuple.try_acquire tuple ~owner:txn.Txn.id then begin
       txn.Txn.latched <- txn.Txn.latched + 1;
       `Acquired
     end
-    else
-      match Latch.holder tuple.Tuple.latch with
-      | Some owner -> `Busy owner
-      | None -> assert false
+    else `Busy (Tuple.holder tuple)
   end
 
 let commit_validate t txn =
@@ -308,16 +308,16 @@ let commit_validate t txn =
     let stale =
       List.exists
         (fun r ->
-          match Version.latest_committed (Tuple.head r.Txn.rtuple) with
-          | Some v -> Int64.compare v.Version.begin_ts txn.Txn.begin_ts > 0
-          | None -> false)
+          (* [nil]'s timestamp predates every snapshot *)
+          let v = Version.latest_committed (Tuple.head r.Txn.rtuple) in
+          Int64.compare v.Version.begin_ts txn.Txn.begin_ts > 0)
         txn.Txn.reads
     in
     if stale then Error Err.Read_validation else Ok ()
 
 let release_latches txn =
   for i = txn.Txn.latched - 1 downto 0 do
-    Latch.release txn.Txn.latch_plan.(i).Tuple.latch ~owner:txn.Txn.id
+    Tuple.release txn.Txn.latch_plan.(i) ~owner:txn.Txn.id
   done;
   txn.Txn.latched <- 0
 

@@ -44,10 +44,10 @@ val total_aborts : stats -> int
     harness' oracles must flag (self-test). *)
 
 type observer = {
-  obs_read : txn:Txn.t -> table:Table.t -> oid:int -> version:Version.t option -> unit;
-      (** Every {!read}, with the version actually returned ([None] when
-          invisible/deleted).  An uncommitted version means the reader saw
-          its own in-flight write. *)
+  obs_read : txn:Txn.t -> table:Table.t -> oid:int -> version:Version.t -> unit;
+      (** Every {!read}, with the version actually returned
+          ({!Version.nil} when nothing is visible).  An uncommitted version
+          means the reader saw its own in-flight write. *)
   obs_write : txn:Txn.t -> table:Table.t -> oid:int -> unit;
       (** Every successful {!update}/{!delete}/{!insert} installation
           (including in-place rewrites of the txn's own version). *)

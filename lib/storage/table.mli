@@ -2,7 +2,8 @@
 
     Indexes (primary and secondary) are {!Btree} instances owned by the
     workload layer and map keys to OIDs; the table itself is the indirection
-    array mapping OIDs to version chains, as in ERMIA's OID arrays. *)
+    array mapping OIDs to version chains, as in ERMIA's OID arrays: each slot
+    holds its record directly. *)
 
 type t
 

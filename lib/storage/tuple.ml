@@ -1,36 +1,40 @@
-type t = { oid : int; mutable chain : Version.t option; latch : Latch.t }
+type t = {
+  oid : int;
+  mutable chain : Version.t;
+  mutable owner : int;
+  mutable depth : int;
+  mutable contended : int;
+}
 
-(* One latch per record; a constant name keeps formatting off the load and
-   insert paths. *)
-let create ~oid = { oid; chain = None; latch = Latch.create ~name:"tuple" () }
+let free = -1
 
-let install t v =
-  v.Version.next <- t.chain;
-  t.chain <- Some v
-
-let unlink_in_flight t ~writer =
-  match t.chain with
-  | Some v when v.Version.writer = Some writer -> t.chain <- v.Version.next
-  | Some head ->
-    (* The writer's in-flight version can sit below the head if another
-       transaction squeezed a version in above it (e.g. under an injected
-       first-updater-wins fault, or after a concurrent GC pass touched the
-       chain).  Eagerly splice it out wherever it is so aborted garbage
-       never lingers for visibility rules to skip. *)
-    let rec splice prev =
-      match prev.Version.next with
-      | Some v when v.Version.writer = Some writer -> prev.Version.next <- v.Version.next
-      | Some v -> splice v
-      | None -> ()
-    in
-    splice head
-  | None -> ()
+let create ~oid = { oid; chain = Version.nil; owner = free; depth = 0; contended = 0 }
 
 let head t = t.chain
+let install t v = t.chain <- Version.push v ~onto:t.chain
+let unlink_in_flight t ~writer = t.chain <- Version.unlink_in_flight t.chain ~writer
+let read_committed t = (Version.latest_committed t.chain).Version.data
 
-let data_of = function None -> None | Some v -> v.Version.data
+let try_acquire t ~owner =
+  if t.owner = free then begin
+    t.owner <- owner;
+    t.depth <- 1;
+    true
+  end
+  else if t.owner = owner then begin
+    t.depth <- t.depth + 1;
+    true
+  end
+  else begin
+    t.contended <- t.contended + 1;
+    false
+  end
 
-let read_si t ~snapshot ~reader =
-  data_of (Version.snapshot_read t.chain ~snapshot ~reader)
+let release t ~owner =
+  if t.owner <> owner || owner = free then
+    invalid_arg (Printf.sprintf "Tuple.release: oid %d not held by txn %d" t.oid owner);
+  t.depth <- t.depth - 1;
+  if t.depth = 0 then t.owner <- free
 
-let read_committed t = data_of (Version.latest_committed t.chain)
+let holder t = t.owner
+let contended_count t = t.contended

@@ -52,8 +52,11 @@ let make ~id ~begin_ts ~iso ~worker ~ctx =
 
 let is_active t = t.state = Active
 
-let find_write t tuple =
-  List.find_opt (fun w -> w.wtuple == tuple) t.writes
+let rec own_in tuple = function
+  | [] -> Version.nil
+  | w :: rest -> if w.wtuple == tuple then w.wversion else own_in tuple rest
+
+let own_version t tuple = own_in tuple t.writes
 
 let on_abort t f = t.undo <- f :: t.undo
 

@@ -50,8 +50,9 @@ val make : id:int -> begin_ts:int64 -> iso:iso -> worker:int -> ctx:int -> t
 
 val is_active : t -> bool
 
-val find_write : t -> Tuple.t -> write_entry option
-(** This txn's own in-flight write to the tuple, if any. *)
+val own_version : t -> Tuple.t -> Version.t
+(** This txn's own in-flight version of the tuple, {!Version.nil} when it
+    has not written it. *)
 
 val on_abort : t -> (unit -> unit) -> unit
 (** Register an undo hook, run (LIFO) if the transaction aborts. *)

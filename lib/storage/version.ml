@@ -1,128 +1,149 @@
 type t = {
   mutable data : Value.t option;
   mutable begin_ts : int64;
-  mutable writer : int option;
-  mutable next : t option;
+  mutable writer : int;
+  mutable next : t;
 }
 
 let in_flight_ts = Int64.max_int
+let no_writer = -1
+
+(* The sentinel reads as a committed tombstone older than every timestamp:
+   a walk that reaches it finds no row, and "committed after my snapshot"
+   tests against it are false.  Callers that must tell "no version" apart
+   from a version still check [is_nil]. *)
+let rec nil = { data = None; begin_ts = Int64.min_int; writer = no_writer; next = nil }
+
+let is_nil v = v == nil
 
 let committed ?(ts = Timestamp.bootstrap) data =
-  { data; begin_ts = ts; writer = None; next = None }
+  { data; begin_ts = ts; writer = no_writer; next = nil }
 
-let in_flight ~writer data = { data; begin_ts = in_flight_ts; writer = Some writer; next = None }
+let in_flight ~writer data = { data; begin_ts = in_flight_ts; writer; next = nil }
 
 (* Version nodes churn fast (every write installs one, every abort or GC
    unlink retires one) and live just long enough to be promoted out of the
    minor heap, which is the worst case for the GC.  The pool threads retired
    nodes into a freelist through their [next] field; recycling a node costs
-   two mutations instead of a fresh five-word block plus promotion. *)
-type pool = {
-  mutable free_list : t option;
-  mutable fresh_ : int;
-  mutable recycled_ : int;
-  mutable released_ : int;
-}
+   a few mutations instead of a fresh five-word block plus promotion. *)
+type pool = { mutable free_list : t }
 
-let pool_create () = { free_list = None; fresh_ = 0; recycled_ = 0; released_ = 0 }
+let pool_create () = { free_list = nil }
 
 let release p v =
+  if v == nil then invalid_arg "Version.release: nil";
   (* Drop the payload and writer so the pool retains no row data and no
      stale visibility state; a node still reachable from a chain must never
      be released (the choke points — abort, GC unlink — guarantee that). *)
   v.data <- None;
-  v.writer <- None;
+  v.writer <- no_writer;
   v.begin_ts <- 0L;
   v.next <- p.free_list;
-  p.free_list <- Some v;
-  p.released_ <- p.released_ + 1
+  p.free_list <- v
 
 let in_flight_of p ~writer data =
-  match p.free_list with
-  | Some v ->
+  let v = p.free_list in
+  if v == nil then in_flight ~writer data
+  else begin
     p.free_list <- v.next;
-    p.recycled_ <- p.recycled_ + 1;
     v.data <- data;
     v.begin_ts <- in_flight_ts;
-    v.writer <- Some writer;
-    v.next <- None;
+    v.writer <- writer;
+    v.next <- nil;
     v
-  | None ->
-    p.fresh_ <- p.fresh_ + 1;
-    in_flight ~writer data
+  end
 
-let pool_fresh p = p.fresh_
-let pool_recycled p = p.recycled_
-let pool_released p = p.released_
-
-let is_committed v = v.writer = None
+let is_committed v = v.writer < 0
+let written_by v txn = v.writer >= 0 && v.writer = txn
 
 let stamp v ts =
   if is_committed v then invalid_arg "Version.stamp: already committed";
   v.begin_ts <- ts;
-  v.writer <- None
+  v.writer <- no_writer
+
+let set_data v data =
+  if v == nil then invalid_arg "Version.set_data: nil";
+  v.data <- data
 
 let visible v ~snapshot ~reader =
-  match v.writer with
-  | Some w -> w = reader
-  | None -> Int64.compare v.begin_ts snapshot <= 0
+  if v.writer >= 0 then v.writer = reader
+  else v != nil && Int64.compare v.begin_ts snapshot <= 0
 
-let rec latest_committed = function
-  | None -> None
-  | Some v -> if is_committed v then Some v else latest_committed v.next
+(* -- chains ------------------------------------------------------------- *)
 
-let rec snapshot_read chain ~snapshot ~reader =
-  match chain with
-  | None -> None
-  | Some v ->
-    if visible v ~snapshot ~reader then Some v
-    else snapshot_read v.next ~snapshot ~reader
+let push v ~onto =
+  v.next <- onto;
+  v
 
-let rec fold f acc = function
-  | None -> acc
-  | Some v -> fold f (f acc v) v.next
+let older v = v.next
+
+let unlink_in_flight head ~writer =
+  if head == nil then head
+  else if head.writer = writer then head.next
+  else begin
+    (* The writer's in-flight version can sit below the head if another
+       transaction squeezed a version in above it (e.g. under an injected
+       first-updater-wins fault).  Splice it out wherever it is so aborted
+       garbage never lingers for visibility rules to skip. *)
+    let rec splice prev =
+      let v = prev.next in
+      if v == nil then ()
+      else if v.writer = writer then prev.next <- v.next
+      else splice v
+    in
+    splice head;
+    head
+  end
+
+let rec latest_committed v = if v.writer < 0 then v else latest_committed v.next
+
+let rec snapshot_read v ~snapshot ~reader =
+  if v == nil || visible v ~snapshot ~reader then v
+  else snapshot_read v.next ~snapshot ~reader
+
+let rec boundary_version v ~boundary =
+  if v == nil || (v.writer < 0 && Int64.compare v.begin_ts boundary <= 0) then v
+  else boundary_version v.next ~boundary
+
+let rec fold f acc v = if v == nil then acc else fold f (f acc v) v.next
 
 let chain_length chain = fold (fun n _ -> n + 1) 0 chain
 
 let committed_length chain =
   fold (fun n v -> if is_committed v then n + 1 else n) 0 chain
 
-let rec truncate_older_than ?release chain ~boundary =
-  match chain with
-  | None -> 0
-  | Some v ->
-    if is_committed v && Int64.compare v.begin_ts boundary <= 0 then begin
-      (* [v] is the newest version visible at [boundary]: every snapshot at
-         or above the boundary reads [v] or newer, so everything older is
-         dead.  Cut here, handing each dropped node to [release] (which may
-         repurpose its [next] field — hence the older-link read first). *)
-      let dropped =
-        match release with
-        | None -> chain_length v.next
-        | Some rel ->
-          let rec free n = function
-            | None -> n
-            | Some d ->
-              let older = d.next in
-              rel d;
-              free (n + 1) older
-          in
-          free 0 v.next
-      in
-      v.next <- None;
-      dropped
-    end
-    else truncate_older_than ?release v.next ~boundary
+let truncate_older_than ?release chain ~boundary =
+  let kept = boundary_version chain ~boundary in
+  if kept == nil then 0
+  else begin
+    (* [kept] is the newest version visible at [boundary]: every snapshot
+       at or above the boundary reads it or newer, so everything older is
+       dead.  Cut here, handing each dropped node to [release] (which may
+       repurpose its [next] field — hence the older-link read first). *)
+    let dropped =
+      match release with
+      | None -> chain_length kept.next
+      | Some rel ->
+        let rec free n d =
+          if d == nil then n
+          else begin
+            let older = d.next in
+            rel d;
+            free (n + 1) older
+          end
+        in
+        free 0 kept.next
+    in
+    kept.next <- nil;
+    dropped
+  end
 
 let well_formed chain =
-  let rec check ~at_head ~prev_ts = function
-    | None -> true
-    | Some v ->
-      if not (is_committed v) then at_head && check ~at_head:false ~prev_ts v.next
-      else begin
-        (match prev_ts with
-        | Some p when Int64.compare v.begin_ts p >= 0 -> false
-        | _ -> check ~at_head:false ~prev_ts:(Some v.begin_ts) v.next)
-      end
+  (* [above] is the nearest committed version above [v], or [nil] *)
+  let rec check ~at_head ~above v =
+    if v == nil then true
+    else if not (is_committed v) then at_head && check ~at_head:false ~above v.next
+    else if above != nil && Int64.compare v.begin_ts above.begin_ts >= 0 then false
+    else check ~at_head:false ~above:v v.next
   in
-  check ~at_head:true ~prev_ts:None chain
+  check ~at_head:true ~above:nil chain

@@ -54,6 +54,23 @@ let test_profiler_memoized_slice () =
   Profiler.account b Profiler.Gc 8;
   check64 "same slice accumulates" 15L (Profiler.non_idle_total p ~wid:1)
 
+(* An empty class label is a class like any other: its cycles reach the
+   worker's totals, and they stay with the profiler that charged them. *)
+let test_profiler_empty_label () =
+  let p = Profiler.create () in
+  let w = Profiler.worker p ~wid:0 in
+  Profiler.account_txn w ~label:"" 100;
+  Profiler.account_txn w ~label:"A" 50;
+  check64 "every cycle accounted" 150L (Profiler.non_idle_total p ~wid:0);
+  check
+    Alcotest.(list (pair string int64))
+    "empty label reported" [ ("txn:", 100L); ("txn:A", 50L) ]
+    (Profiler.worker_buckets p ~wid:0);
+  let q = Profiler.create () in
+  Profiler.account_txn (Profiler.worker q ~wid:0) ~label:"" 30;
+  check64 "a fresh profiler starts from zero" 30L (Profiler.non_idle_total q ~wid:0);
+  check64 "the first profiler is unchanged" 150L (Profiler.non_idle_total p ~wid:0)
+
 let test_profiler_topk_and_totals () =
   let p = Profiler.create () in
   let w0 = Profiler.worker p ~wid:0 and w1 = Profiler.worker p ~wid:1 in
@@ -393,6 +410,7 @@ let () =
         [
           Alcotest.test_case "buckets" `Quick test_profiler_buckets;
           Alcotest.test_case "memoized slice" `Quick test_profiler_memoized_slice;
+          Alcotest.test_case "empty label" `Quick test_profiler_empty_label;
           Alcotest.test_case "top-k and totals" `Quick test_profiler_topk_and_totals;
           Alcotest.test_case "folded stacks" `Quick test_profiler_folded;
           Alcotest.test_case "json" `Quick test_profiler_json;

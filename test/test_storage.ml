@@ -4,7 +4,6 @@
 
 module Value = Storage.Value
 module Timestamp = Storage.Timestamp
-module Latch = Storage.Latch
 module Version = Storage.Version
 module Tuple = Storage.Tuple
 module Table = Storage.Table
@@ -52,42 +51,63 @@ let test_timestamp_monotonic () =
   check64 "current tracks" b (Timestamp.current ts);
   checkb "bootstrap below all" true (Int64.compare Timestamp.bootstrap a < 0)
 
-(* -- Latch ------------------------------------------------------------------------ *)
+(* -- Tuple latch ------------------------------------------------------------------ *)
+
+(* The latch lives inline in the tuple; [holder] reports [-1] when free. *)
+let latch () = Tuple.create ~oid:0
+let holder l = match Tuple.holder l with -1 -> None | o -> Some o
 
 let test_latch_reentrant () =
-  let l = Latch.create ~name:"t" () in
-  checkb "acquire" true (Latch.try_acquire l ~owner:1);
-  checkb "reentrant" true (Latch.try_acquire l ~owner:1);
-  checkb "other blocked" false (Latch.try_acquire l ~owner:2);
-  checki "contention counted" 1 (Latch.contended_count l);
-  Latch.release l ~owner:1;
-  Alcotest.(check (option int)) "still held" (Some 1) (Latch.holder l);
-  Latch.release l ~owner:1;
-  Alcotest.(check (option int)) "free" None (Latch.holder l);
-  checkb "other can take now" true (Latch.try_acquire l ~owner:2)
+  let l = latch () in
+  checkb "acquire" true (Tuple.try_acquire l ~owner:1);
+  checkb "reentrant" true (Tuple.try_acquire l ~owner:1);
+  checkb "other blocked" false (Tuple.try_acquire l ~owner:2);
+  checki "contention counted" 1 (Tuple.contended_count l);
+  Tuple.release l ~owner:1;
+  Alcotest.(check (option int)) "still held" (Some 1) (holder l);
+  Tuple.release l ~owner:1;
+  Alcotest.(check (option int)) "free" None (holder l);
+  checkb "other can take now" true (Tuple.try_acquire l ~owner:2)
 
 let test_latch_release_errors () =
-  let l = Latch.create () in
-  checkb "acquired" true (Latch.try_acquire l ~owner:1);
+  let l = latch () in
+  checkb "acquired" true (Tuple.try_acquire l ~owner:1);
   checkb "wrong owner release raises" true
-    (match Latch.release l ~owner:2 with
+    (match Tuple.release l ~owner:2 with
     | () -> false
     | exception Invalid_argument _ -> true)
+
+let test_latch_allocation_free () =
+  let l = latch () in
+  ignore (Tuple.try_acquire l ~owner:1);
+  Tuple.release l ~owner:1;
+  let before = Gc.minor_words () in
+  let a = Tuple.try_acquire l ~owner:3 in
+  let b = Tuple.try_acquire l ~owner:3 in
+  let c = Tuple.try_acquire l ~owner:4 in
+  Tuple.release l ~owner:3;
+  Tuple.release l ~owner:3;
+  let words = Gc.minor_words () -. before in
+  checkb "acquired twice, refused once" true (a && b && not c);
+  Alcotest.(check (float 0.)) "minor words for acquire/release" 0. words
 
 (* -- Version chains ---------------------------------------------------------------- *)
 
 let row i = [| Value.Int i |]
 
+(* Link versions into a chain, newest first; [found] turns the [nil] a
+   lookup returns when nothing matches into [None]. *)
+let chain_of vs = List.fold_right (fun v older -> Version.push v ~onto:older) vs Version.nil
+let found v = if Version.is_nil v then None else Some v
+
 let test_version_visibility () =
   let v3 = Version.committed ~ts:30L (Some (row 3)) in
   let v2 = Version.committed ~ts:20L (Some (row 2)) in
   let v1 = Version.committed ~ts:10L (Some (row 1)) in
-  v3.Version.next <- Some v2;
-  v2.Version.next <- Some v1;
-  let chain = Some v3 in
+  let chain = chain_of [ v3; v2; v1 ] in
   checkb "well formed" true (Version.well_formed chain);
   let read snap =
-    match Version.snapshot_read chain ~snapshot:snap ~reader:99 with
+    match found (Version.snapshot_read chain ~snapshot:snap ~reader:99) with
     | Some v -> Value.int_exn (Option.get v.Version.data) 0
     | None -> -1
   in
@@ -99,13 +119,12 @@ let test_version_visibility () =
 let test_version_own_write_visible () =
   let inflight = Version.in_flight ~writer:7 (Some (row 42)) in
   let v1 = Version.committed ~ts:10L (Some (row 1)) in
-  inflight.Version.next <- Some v1;
-  let chain = Some inflight in
+  let chain = chain_of [ inflight; v1 ] in
   checkb "well formed with in-flight head" true (Version.well_formed chain);
-  (match Version.snapshot_read chain ~snapshot:100L ~reader:7 with
+  (match found (Version.snapshot_read chain ~snapshot:100L ~reader:7) with
   | Some v -> checki "writer sees own" 42 (Value.int_exn (Option.get v.Version.data) 0)
   | None -> Alcotest.fail "writer must see own write");
-  match Version.snapshot_read chain ~snapshot:100L ~reader:8 with
+  match found (Version.snapshot_read chain ~snapshot:100L ~reader:8) with
   | Some v -> checki "others skip in-flight" 1 (Value.int_exn (Option.get v.Version.data) 0)
   | None -> Alcotest.fail "reader must see committed version"
 
@@ -121,53 +140,50 @@ let test_version_stamp () =
 let test_version_latest_committed () =
   let inflight = Version.in_flight ~writer:1 (Some (row 9)) in
   let v = Version.committed ~ts:3L (Some (row 1)) in
-  inflight.Version.next <- Some v;
-  (match Version.latest_committed (Some inflight) with
+  let chain = chain_of [ inflight; v ] in
+  (match found (Version.latest_committed chain) with
   | Some got -> check64 "skips in-flight" 3L got.Version.begin_ts
   | None -> Alcotest.fail "expected committed version");
-  checki "chain length" 2 (Version.chain_length (Some inflight))
+  checki "chain length" 2 (Version.chain_length chain)
 
 let test_version_ill_formed_detected () =
   (* timestamps must strictly decrease *)
   let v1 = Version.committed ~ts:10L (Some (row 1)) in
   let v2 = Version.committed ~ts:10L (Some (row 2)) in
-  v1.Version.next <- Some v2;
-  checkb "equal timestamps rejected" false (Version.well_formed (Some v1));
+  checkb "equal timestamps rejected" false (Version.well_formed (chain_of [ v1; v2 ]));
   (* in-flight below head is ill-formed *)
   let top = Version.committed ~ts:20L (Some (row 3)) in
   let mid = Version.in_flight ~writer:1 (Some (row 4)) in
-  top.Version.next <- Some mid;
-  checkb "buried in-flight rejected" false (Version.well_formed (Some top))
+  checkb "buried in-flight rejected" false (Version.well_formed (chain_of [ top; mid ]))
 
 let test_version_all_in_flight_chain () =
   (* a chain holding only an uncommitted head: invisible to everyone but
      its writer, and "nothing committed" for every committed-state reader *)
   let head = Version.in_flight ~writer:7 (Some (row 42)) in
-  let chain = Some head in
-  (match Version.snapshot_read chain ~snapshot:100L ~reader:8 with
+  let chain = chain_of [ head ] in
+  (match found (Version.snapshot_read chain ~snapshot:100L ~reader:8) with
   | None -> ()
   | Some _ -> Alcotest.fail "other readers must not see the in-flight version");
-  checkb "no committed version" true (Version.latest_committed chain = None);
+  checkb "no committed version" true (found (Version.latest_committed chain) = None);
   checki "committed length 0" 0 (Version.committed_length chain);
   checki "raw length 1" 1 (Version.chain_length chain);
   (* the writer sees its own write even with a snapshot below everything *)
-  match Version.snapshot_read chain ~snapshot:0L ~reader:7 with
+  match found (Version.snapshot_read chain ~snapshot:0L ~reader:7) with
   | Some v -> checki "own uncommitted visible" 42 (Value.int_exn (Option.get v.Version.data) 0)
   | None -> Alcotest.fail "writer must see its own in-flight version"
 
 let test_version_tombstone_head () =
   let dead = Version.committed ~ts:30L None in
   let live = Version.committed ~ts:10L (Some (row 1)) in
-  dead.Version.next <- Some live;
-  let chain = Some dead in
+  let chain = chain_of [ dead; live ] in
   checkb "well formed" true (Version.well_formed chain);
-  (match Version.snapshot_read chain ~snapshot:35L ~reader:9 with
+  (match found (Version.snapshot_read chain ~snapshot:35L ~reader:9) with
   | Some v -> checkb "deletion observed, not skipped" true (v.Version.data = None)
   | None -> Alcotest.fail "tombstone must be returned as the visible version");
-  (match Version.snapshot_read chain ~snapshot:15L ~reader:9 with
+  (match found (Version.snapshot_read chain ~snapshot:15L ~reader:9) with
   | Some v -> checki "pre-delete snapshot sees the old row" 1 (Value.int_exn (Option.get v.Version.data) 0)
   | None -> Alcotest.fail "old snapshot must see the pre-delete version");
-  (match Version.latest_committed chain with
+  (match found (Version.latest_committed chain) with
   | Some v -> checkb "latest committed is the tombstone" true (v.Version.data = None)
   | None -> Alcotest.fail "latest_committed must return the tombstone");
   checki "committed length counts the tombstone" 2 (Version.committed_length chain)
@@ -175,9 +191,23 @@ let test_version_tombstone_head () =
 let test_version_committed_length_skips_in_flight () =
   let head = Version.in_flight ~writer:3 (Some (row 9)) in
   let v = Version.committed ~ts:5L (Some (row 1)) in
-  head.Version.next <- Some v;
-  checki "raw length" 2 (Version.chain_length (Some head));
-  checki "committed length" 1 (Version.committed_length (Some head))
+  let chain = chain_of [ head; v ] in
+  checki "raw length" 2 (Version.chain_length chain);
+  checki "committed length" 1 (Version.committed_length chain)
+
+let test_version_nil_sentinel () =
+  let nil = Version.nil in
+  checkb "empty chain well formed" true (Version.well_formed nil);
+  checki "empty chain length" 0 (Version.chain_length nil);
+  checkb "nothing visible" true (Version.is_nil (Version.snapshot_read nil ~snapshot:100L ~reader:1));
+  checkb "nothing committed" true (Version.is_nil (Version.latest_committed nil));
+  checkb "nil never visible" false (Version.visible nil ~snapshot:Int64.max_int ~reader:1);
+  checkb "nil older than itself" true (Version.older nil == nil);
+  checki "nothing to truncate" 0 (Version.truncate_older_than nil ~boundary:100L);
+  checkb "nil cannot be released" true
+    (match Version.release (Version.pool_create ()) nil with
+    | () -> false
+    | exception Invalid_argument _ -> true)
 
 (* -- B+tree ------------------------------------------------------------------------ *)
 
@@ -486,6 +516,44 @@ let read_int eng txn table oid =
   | Some r -> Value.int_exn r 0
   | None -> -1
 
+(* A committed SI read walks the chain and hands back the version's own
+   payload: nothing is boxed on the way. *)
+let test_engine_si_read_allocation_free () =
+  let eng, table = mk_engine () in
+  let oid = seed_row eng table 7 in
+  let w = Engine.begin_txn eng ~worker:0 ~ctx:0 in
+  (match Engine.update eng w table ~oid (row 8) with Ok () -> () | Error _ -> Alcotest.fail "u");
+  (match Engine.commit eng w with Ok _ -> () | Error _ -> Alcotest.fail "c");
+  let t = Engine.begin_txn eng ~worker:0 ~ctx:0 in
+  ignore (Engine.read eng t table ~oid);
+  let before = Gc.minor_words () in
+  let r = Engine.read eng t table ~oid in
+  let words = Gc.minor_words () -. before in
+  checkb "read the committed row" true (r <> None);
+  Alcotest.(check (float 0.)) "minor words for a committed SI read" 0. words;
+  Engine.abort eng t
+
+(* A freshly loaded record is one tuple block plus one version block; the
+   slot array's doubling adds about two words per record on top. *)
+let test_loaded_tuple_words () =
+  let table = Table.create ~id:0 ~name:"load" in
+  let data = Some (row 1) in
+  let n = 1000 in
+  (* [Gc.minor_words] counts the live minor heap exactly; [Gc.counters]
+     adds the slot arrays allocated straight into the major heap. *)
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = allocated () in
+  for _ = 1 to n do
+    Tuple.install (Table.alloc table) (Version.committed data)
+  done;
+  let per_tuple = (allocated () -. before) /. float_of_int n in
+  checki "loaded" n (Table.size table);
+  if per_tuple > 14. then
+    Alcotest.failf "%.1f words per loaded tuple, bound 14 (tuple + version + slot)" per_tuple
+
 let test_engine_insert_read_commit () =
   let eng, table = mk_engine () in
   let oid = seed_row eng table 10 in
@@ -608,7 +676,7 @@ let test_engine_abort_unlinks_buried_in_flight () =
   checki "aborted version spliced out from mid-chain" 2
     (Version.chain_length (Tuple.head tuple));
   checkb "no in-flight garbage left" true
-    (match Tuple.head tuple with Some v -> Version.is_committed v | None -> false);
+    (let v = Tuple.head tuple in (not (Version.is_nil v)) && Version.is_committed v);
   checkb "chain well-formed after the splice" true
     (Version.well_formed (Tuple.head tuple))
 
@@ -685,7 +753,7 @@ let test_engine_staged_commit_busy_latch () =
   checkb "a committed" true (Int64.compare ts 0L > 0);
   checki "deadlock abort counted" 1 (Engine.stats eng).Engine.aborts_deadlock;
   (* the latch must be free again after both paths *)
-  checkb "latch released" true (Latch.holder (Table.get table oid).Tuple.latch = None)
+  checkb "latch released" true (holder (Table.get table oid) = None)
 
 let test_engine_commit_releases_latches_on_validation_failure () =
   let eng, table = mk_engine () in
@@ -699,7 +767,7 @@ let test_engine_commit_releases_latches_on_validation_failure () =
   | Error Err.Read_validation -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected validation failure");
   checkb "latch released after failed commit" true
-    (Latch.holder (Table.get table oid).Tuple.latch = None)
+    (holder (Table.get table oid) = None)
 
 let test_engine_table_registry () =
   let eng = Engine.create () in
@@ -747,7 +815,7 @@ let prop_si_interleavings =
             | 0 -> (
               (* read: snapshot-stable unless we wrote it ourselves *)
               let v = Engine.read eng txn table ~oid:oids.(key) in
-              let wrote_it = Txn.find_write txn (Table.get table oids.(key)) <> None in
+              let wrote_it = not (Version.is_nil (Txn.own_version txn (Table.get table oids.(key)))) in
               match first_reads.(slot).(key) with
               | Some prev when not wrote_it -> if prev <> v then ok := false
               | Some _ -> first_reads.(slot).(key) <- Some v
@@ -773,9 +841,8 @@ let prop_si_interleavings =
         (fun oid ->
           let chain = Tuple.head (Table.get table oid) in
           if not (Version.well_formed chain) then ok := false;
-          match chain with
-          | Some head when not (Version.is_committed head) -> ok := false
-          | Some _ | None -> ())
+          (* [nil] counts as committed *)
+          if not (Version.is_committed chain) then ok := false)
         oids;
       !ok)
 
@@ -794,6 +861,8 @@ let () =
         [
           Alcotest.test_case "reentrant" `Quick test_latch_reentrant;
           Alcotest.test_case "release errors" `Quick test_latch_release_errors;
+          Alcotest.test_case "acquire/release allocates nothing" `Quick
+            test_latch_allocation_free;
         ] );
       ( "version",
         [
@@ -806,6 +875,7 @@ let () =
           Alcotest.test_case "tombstone head" `Quick test_version_tombstone_head;
           Alcotest.test_case "committed length" `Quick
             test_version_committed_length_skips_in_flight;
+          Alcotest.test_case "nil sentinel" `Quick test_version_nil_sentinel;
         ] );
       ( "btree",
         [
@@ -848,6 +918,9 @@ let () =
           Alcotest.test_case "latches released on failed validation" `Quick
             test_engine_commit_releases_latches_on_validation_failure;
           Alcotest.test_case "table registry" `Quick test_engine_table_registry;
+          Alcotest.test_case "committed SI read allocates nothing" `Quick
+            test_engine_si_read_allocation_free;
+          Alcotest.test_case "loaded tuple words" `Quick test_loaded_tuple_words;
         ]
         @ qsuite [ prop_si_interleavings ] );
     ]
