@@ -656,113 +656,78 @@ let check_cmd =
       tag o.Check.Explorer.explored o.Check.Explorer.total_commits o.Check.Explorer.total_forced
       o.Check.Explorer.failing
   in
-  let run_durability_fuzz ~budget ~seed ~workers =
-    (* a slow device + fast arrivals keep an unflushed tail pending, so the
-       fuzzed crash points exercise real commit loss *)
-    let cfg =
-      Config.with_durability
-        ~durability:
-          {
-            Config.default_durability with
-            Config.du_group_interval_us = 200.;
-            du_fsync_floor_us = 50.;
-          }
-        (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:workers ())
+  (* A crash grid: crash instants x configs, every cell checked by the
+     crash oracle at each cut its config arms (the local cut always, the
+     standby cut when replicated).  Instants spread over 2-8 ms plus an
+     offset drawn from the cell's seed inside one arrival interval, so
+     crashes land mid-burst and the grid differs between seeds.  The
+     early-ack self-test runs on the last config.  Exits 1 on a violation,
+     a silent self-test, or a grid that lost no commit (it tested
+     nothing). *)
+  let run_crash_grid ~name ~configs ~points ~seed ?tpch_cfg ~arrival_interval_us () =
+    let module C = Check.Crash in
+    let run ?early_ack cfg ~crash_at_us ~seed =
+      C.run ~cfg ?tpch_cfg ~plan:{ Faults.Plan.none with Faults.Plan.crash_at_us; seed }
+        ?early_ack ~arrival_interval_us ~horizon_sec:0.01 ()
     in
-    let cells = max 1 budget in
     let failures = ref 0 in
     let lost_total = ref 0 in
-    for i = 0 to cells - 1 do
-      let crash_at_us = 2000. +. (6000. *. float_of_int i /. float_of_int cells) in
-      let crash_seed = Int64.of_int (seed + (i * 7919)) in
-      let o =
-        Check.Crash.run ~cfg ~crash_at_us ~crash_seed ~arrival_interval_us:50.
-          ~horizon_sec:0.01 ()
-      in
-      let nviol = List.length o.Check.Crash.co_violations in
-      Format.printf "crash@%.0fus seed=%Ld: durable=%d lost=%d acked=%d violations=%d@."
-        crash_at_us crash_seed o.Check.Crash.co_durable_commits o.Check.Crash.co_lost_commits
-        o.Check.Crash.co_acked nviol;
-      lost_total := !lost_total + o.Check.Crash.co_lost_commits;
-      if nviol > 0 then begin
-        incr failures;
-        List.iteri
-          (fun j v -> if j < 5 then Format.printf "  %s@." (Check.Violation.to_string v))
-          o.Check.Crash.co_violations
-      end
-    done;
-    (* the lying-daemon self-test: early acks must be caught *)
-    let st =
-      Check.Crash.run ~cfg ~crash_at_us:5000. ~early_ack:true ~arrival_interval_us:50.
-        ~horizon_sec:0.01 ()
-    in
-    let caught = st.Check.Crash.co_violations <> [] in
-    Format.printf "early-ack self-test: %s@."
-      (if caught then "caught (oracle works)" else "NOT CAUGHT (oracle bug)");
-    Format.printf "durability fuzz: %d crash points, %d commits lost in total, %d failing@."
-      cells !lost_total !failures;
-    exit (if !failures = 0 && caught then 0 else 1)
-  in
-  let run_failover_fuzz ~budget ~seed ~workers =
-    (* grid = crash time x mode; every cell runs the acked-commit-survival
-       oracle, and semi-sync cells additionally demand RPO = 0 *)
-    let mk mode =
-      Config.with_replication
-        ~replication:{ Config.default_replication with Config.rp_mode = mode }
-        (Config.with_durability ~durability:Config.default_durability
-           (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:workers ()))
-    in
-    let tpch_cfg =
-      { Workload.Tpch_schema.default with Workload.Tpch_schema.parts = 3000 }
-    in
-    let points = max 10 (budget / 2) in
-    let failures = ref 0 in
-    let cells = ref 0 in
     for i = 0 to points - 1 do
-      let crash_at_us = 2000. +. (6000. *. float_of_int i /. float_of_int points) in
       let crash_seed = Int64.of_int (seed + (i * 7919)) in
+      let crash_at_us =
+        2000.
+        +. (6000. *. float_of_int i /. float_of_int points)
+        +. Sim.Rng.float (Sim.Rng.create crash_seed) arrival_interval_us
+      in
       List.iter
-        (fun mode ->
-          incr cells;
-          let o =
-            Check.Failover.run ~cfg:(mk mode) ~tpch_cfg ~crash_at_us ~crash_seed
-              ~arrival_interval_us:200. ~horizon_sec:0.01 ()
+        (fun (label, cfg) ->
+          let o = run cfg ~crash_at_us ~seed:crash_seed in
+          let nviol = List.length o.C.co_violations in
+          let semi_sync =
+            Option.map (fun rp -> rp.Config.rp_mode) cfg.Config.replication
+            = Some Config.Repl_semi_sync
           in
-          let nviol = List.length o.Check.Failover.fv_violations in
-          let rpo_bad =
-            mode = Config.Repl_semi_sync && o.Check.Failover.fv_acked_lost > 0
+          let rpo_bad = semi_sync && o.C.co_acked_lost > 0 in
+          let cut = Option.value o.C.co_standby ~default:o.C.co_local in
+          let cell =
+            match o.C.co_standby, o.C.co_failover with
+            | None, _ ->
+              Printf.sprintf "durable=%d lost=%d acked=%d" cut.C.cut_kept cut.C.cut_lost
+                o.C.co_acked
+            | Some _, fo ->
+              let rto =
+                match fo with
+                | Some fo -> Printf.sprintf "%.1f" fo.Replication.Failover.fo_rto_us
+                | None -> "-"
+              in
+              Printf.sprintf "RTO=%sus RPO=%d survived=%d lost=%d" rto o.C.co_acked_lost
+                cut.C.cut_kept cut.C.cut_lost
           in
-          let rto =
-            match o.Check.Failover.fv_failover with
-            | Some fo -> Printf.sprintf "%.1f" fo.Replication.Failover.fo_rto_us
-            | None -> "-"
-          in
-          Format.printf
-            "crash@%.0fus %-9s seed=%Ld: RTO=%sus RPO=%d survived=%d lost=%d violations=%d%s@."
-            crash_at_us
-            (Config.replication_mode_to_string mode)
-            crash_seed rto o.Check.Failover.fv_acked_lost
-            o.Check.Failover.fv_survived_commits o.Check.Failover.fv_lost_commits nviol
+          Format.printf "crash@%.0fus%s seed=%Ld: %s violations=%d%s@." crash_at_us
+            (if label = "" then "" else Printf.sprintf " %-9s" label)
+            crash_seed cell nviol
             (if rpo_bad then "  RPO VIOLATION" else "");
+          lost_total := !lost_total + cut.C.cut_lost;
           if nviol > 0 || rpo_bad then begin
             incr failures;
             List.iteri
               (fun j v -> if j < 5 then Format.printf "  %s@." (Check.Violation.to_string v))
-              o.Check.Failover.fv_violations
+              o.C.co_violations
           end)
-        [ Config.Repl_async; Config.Repl_semi_sync ]
+        configs
     done;
     (* the lying-daemon self-test: early acks must be caught *)
-    let st =
-      Check.Failover.run ~cfg:(mk Config.Repl_semi_sync) ~tpch_cfg ~crash_at_us:5000.
-        ~early_ack:true ~arrival_interval_us:200. ~horizon_sec:0.01 ()
-    in
-    let caught = st.Check.Failover.fv_violations <> [] in
+    let st = run ~early_ack:true (snd (List.hd (List.rev configs))) ~crash_at_us:5000. ~seed:11L in
+    let caught = st.C.co_violations <> [] in
     Format.printf "early-ack self-test: %s@."
       (if caught then "caught (oracle works)" else "NOT CAUGHT (oracle bug)");
-    Format.printf "failover fuzz: %d cells (%d crash points x 2 modes), %d failing@." !cells
-      points !failures;
-    exit (if !failures = 0 && caught then 0 else 1)
+    let n = List.length configs in
+    Format.printf "%s fuzz: %s, %d commits lost in total, %d failing@." name
+      (if n = 1 then Printf.sprintf "%d crash points" points
+       else Printf.sprintf "%d cells (%d crash points x %d modes)" (points * n) points n)
+      !lost_total !failures;
+    if !lost_total = 0 then Format.printf "NO LOSS: no cell lost a commit, the grid tested nothing@.";
+    exit (if !failures = 0 && caught && !lost_total > 0 then 0 else 1)
   in
   let run_shard_fuzz ~budget ~seed ~workers =
     (* grid = crash instant x crash role; restricting origins to shard 0
@@ -862,8 +827,38 @@ let check_cmd =
         exit 2
       | None -> ())
     | None -> ());
-    if durability then run_durability_fuzz ~budget ~seed ~workers;
-    if failover then run_failover_fuzz ~budget ~seed ~workers;
+    let preempt = Config.default ~policy:(Config.Preempt 1.0) ~n_workers:workers () in
+    if durability then
+      (* a slow device + fast arrivals keep an unflushed tail pending, so
+         the fuzzed crash points exercise real commit loss *)
+      run_crash_grid ~name:"durability" ~points:(max 1 budget) ~seed ~arrival_interval_us:50.
+        ~configs:
+          [
+            ( "",
+              Config.with_durability
+                ~durability:
+                  {
+                    Config.default_durability with
+                    Config.du_group_interval_us = 200.;
+                    du_fsync_floor_us = 50.;
+                  }
+                preempt );
+          ]
+        ();
+    if failover then
+      (* grid = crash time x mode; semi-sync cells additionally demand RPO = 0 *)
+      run_crash_grid ~name:"failover" ~points:(max 10 (budget / 2)) ~seed
+        ~arrival_interval_us:200.
+        ~tpch_cfg:{ Workload.Tpch_schema.default with Workload.Tpch_schema.parts = 3000 }
+        ~configs:
+          (List.map
+             (fun mode ->
+               ( Config.replication_mode_to_string mode,
+                 Config.with_replication
+                   ~replication:{ Config.default_replication with Config.rp_mode = mode }
+                   preempt ))
+             [ Config.Repl_async; Config.Repl_semi_sync ])
+        ();
     if shards then run_shard_fuzz ~budget ~seed ~workers;
     let plan = load_plan faults in
     let base =

@@ -269,20 +269,22 @@ let attach t eng =
          dur_table_created = (fun name -> on_table_created t name);
        })
 
+let committed_image eng =
+  List.map
+    (fun table ->
+      let rows = ref [] in
+      Table.iter table (fun tuple ->
+          let v = Version.latest_committed (Tuple.head tuple) in
+          if not (Version.is_nil v) then
+            rows := (tuple.Tuple.oid, v.Version.data, v.Version.begin_ts) :: !rows);
+      (Table.name table, List.rev !rows))
+    (Engine.tables eng)
+
 (* Capture the bootstrap-loaded state (direct installs bypass commits, so
    the log alone cannot reproduce it).  Call after loading, before the run. *)
 let snapshot_base t eng =
   t.catalog <- List.map Table.name (Engine.tables eng);
-  t.base <-
-    List.map
-      (fun table ->
-        let rows = ref [] in
-        Table.iter table (fun tuple ->
-            let v = Version.latest_committed (Tuple.head tuple) in
-            if not (Version.is_nil v) then
-              rows := (tuple.Tuple.oid, v.Version.data, v.Version.begin_ts) :: !rows);
-        (Table.name table, List.rev !rows))
-      (Engine.tables eng)
+  t.base <- committed_image eng
 
 let install_checkpoint t ~start_lsn image =
   if start_lsn < 0 || start_lsn > t.next then

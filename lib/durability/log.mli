@@ -34,9 +34,14 @@ val attach : t -> Storage.Engine.t -> unit
     at abort, record redo + marker at commit-install, DDL on table
     creation. *)
 
+val committed_image : Storage.Engine.t -> image
+(** The engine's committed state: per table (engine order), the latest
+    committed version of every tuple that has one, tombstones included
+    (payload [None]). *)
+
 val snapshot_base : t -> Storage.Engine.t -> unit
-(** Capture the current committed state as the recovery base image.  Call
-    after bootstrap loading, before the run starts. *)
+(** Capture {!committed_image} as the recovery base image.  Call after
+    bootstrap loading, before the run starts. *)
 
 val next_lsn : t -> int
 val durable_lsn : t -> int

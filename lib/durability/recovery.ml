@@ -254,29 +254,27 @@ let recover_applier log =
 
 (* -- state comparison (test and oracle helper) --------------------------- *)
 
-let table_rows table =
-  let rows = ref [] in
-  Table.iter table (fun tuple ->
-      rows := (tuple.Tuple.oid, Tuple.read_committed tuple) :: !rows);
-  (* drop empty slots so allocation-count differences don't matter *)
-  List.filter (fun (_, data) -> data <> None) !rows
-
 let durable_state_equal a b =
-  let names eng = List.sort compare (List.map Table.name (Engine.tables eng)) in
-  let by_oid rows = List.sort (fun (o1, _) (o2, _) -> compare o1 o2) rows in
-  names a = names b
-  && List.for_all
-       (fun name ->
-         let rows_a = by_oid (table_rows (Engine.table a name)) in
-         let rows_b = by_oid (table_rows (Engine.table b name)) in
+  (* tombstones and never-committed slots dropped, so allocation-count
+     differences don't matter *)
+  let rows eng =
+    List.map
+      (fun (name, rows) ->
+        ( name,
+          List.sort
+            (fun (o1, _) (o2, _) -> Int.compare o1 o2)
+            (List.filter_map
+               (fun (oid, data, _) -> Option.map (fun d -> (oid, d)) data)
+               rows) ))
+      (Log.committed_image eng)
+  in
+  let by_name = List.sort (fun (n1, _) (n2, _) -> compare n1 n2) in
+  let ra = by_name (rows a) and rb = by_name (rows b) in
+  List.map fst ra = List.map fst rb
+  && List.for_all2
+       (fun (_, rows_a) (_, rows_b) ->
          List.length rows_a = List.length rows_b
          && List.for_all2
-              (fun (oid_a, data_a) (oid_b, data_b) ->
-                oid_a = oid_b
-                &&
-                match data_a, data_b with
-                | Some ra, Some rb -> Value.equal ra rb
-                | None, None -> true
-                | Some _, None | None, Some _ -> false)
+              (fun (oid_a, da) (oid_b, db) -> oid_a = oid_b && Value.equal da db)
               rows_a rows_b)
-       (names a)
+       ra rb

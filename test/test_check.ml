@@ -291,6 +291,9 @@ let dur_cfg =
   Preemptdb.Config.with_durability
     (Preemptdb.Config.default ~policy:(Preemptdb.Config.Preempt 1.0) ~n_workers:2 ())
 
+let crash_plan ?(seed = 11L) crash_at_us =
+  { Faults.Plan.none with Faults.Plan.seed; crash_at_us }
+
 let fail_violations label vs =
   if vs <> [] then
     Alcotest.failf "%s: %s" label (Check.Violation.to_string (List.hd vs))
@@ -323,7 +326,7 @@ let test_crash_fuzzed_points () =
       List.iter
         (fun crash_seed ->
           let o =
-            Check.Crash.run ~cfg:grid_cfg ~crash_at_us ~crash_seed
+            Check.Crash.run ~cfg:grid_cfg ~plan:(crash_plan ~seed:crash_seed crash_at_us)
               ~arrival_interval_us:50. ()
           in
           fail_violations
@@ -333,14 +336,14 @@ let test_crash_fuzzed_points () =
             (o.Check.Crash.co_result.Preemptdb.Runner.durability
              |> Option.map (fun d -> d.Preemptdb.Runner.ds_crashed)
              |> Option.value ~default:false);
-          if o.Check.Crash.co_lost_commits > 0 then lost_somewhere := true)
+          if o.Check.Crash.co_local.Check.Crash.cut_lost > 0 then lost_somewhere := true)
         [ 11L; 42L ])
     [ 2000.; 5000.; 8000. ];
   checkb "the grid exercised real loss (unflushed tails)" true !lost_somewhere
 
 let test_crash_selftest_early_ack () =
   (* a lying daemon (acks before durability) must be caught *)
-  let o = Check.Crash.run ~cfg:dur_cfg ~crash_at_us:5000. ~early_ack:true () in
+  let o = Check.Crash.run ~cfg:dur_cfg ~plan:(crash_plan 5000.) ~early_ack:true () in
   checkb "early-ack violations detected" true (o.Check.Crash.co_violations <> [])
 
 let test_crash_blocking_commit_config () =
@@ -352,8 +355,29 @@ let test_crash_blocking_commit_config () =
         { Preemptdb.Config.default_durability with Preemptdb.Config.du_blocking = true }
       (Preemptdb.Config.default ~policy:(Preemptdb.Config.Preempt 1.0) ~n_workers:2 ())
   in
-  let o = Check.Crash.run ~cfg ~crash_at_us:5000. () in
+  let o = Check.Crash.run ~cfg ~plan:(crash_plan 5000.) () in
   fail_violations "blocking commit crash" o.Check.Crash.co_violations
+
+let test_crash_replicated_cuts () =
+  (* a replicated crash arms both cuts: each partitions the audited
+     commits into kept (below the cut) and lost *)
+  let cfg = Preemptdb.Config.with_replication dur_cfg in
+  let o = Check.Crash.run ~cfg ~plan:(crash_plan 5000.) ~horizon_sec:0.012 () in
+  fail_violations "replicated crash" o.Check.Crash.co_violations;
+  let audited = List.length o.Check.Crash.co_audits in
+  let partitions label (c : Check.Crash.cut) =
+    checki (label ^ ": kept + lost = audited") audited
+      (c.Check.Crash.cut_kept + c.Check.Crash.cut_lost);
+    checkb (label ^ ": commits kept") true (c.Check.Crash.cut_kept > 0)
+  in
+  partitions "local cut" o.Check.Crash.co_local;
+  match o.Check.Crash.co_standby with
+  | None -> Alcotest.fail "replicated run did not check the standby cut"
+  | Some sb ->
+    partitions "standby cut" sb;
+    checkb "the standby engine is not the recovered one" true
+      (sb.Check.Crash.cut_engine != o.Check.Crash.co_local.Check.Crash.cut_engine);
+    checkb "promoted" true (o.Check.Crash.co_failover <> None)
 
 let () =
   Alcotest.run "check"
@@ -415,5 +439,7 @@ let () =
             test_crash_selftest_early_ack;
           Alcotest.test_case "blocking-commit ablation satisfies the contract" `Quick
             test_crash_blocking_commit_config;
+          Alcotest.test_case "replicated crash checks both cuts" `Quick
+            test_crash_replicated_cuts;
         ] );
     ]

@@ -28,46 +28,51 @@ let base_cfg ?(mode = Config.Repl_semi_sync) ?(failover = true) ?(blocking = fal
     cfg
 
 let oracle_run ?(mode = Config.Repl_semi_sync) ?(crash_at_us = 0.)
-    ?(crash_seed = 11L) ?early_ack ?hb_drop_pct ?replica_crash_at_us
+    ?(crash_seed = 11L) ?early_ack ?(hb_drop_pct = 0) ?(replica_crash_at_us = 0.)
     ?(horizon = 0.01) () =
-  Check.Failover.run ~cfg:(base_cfg ~mode ()) ~tpch_cfg:small_tpch ~crash_at_us
-    ~crash_seed ?early_ack ?hb_drop_pct ?replica_crash_at_us
-    ~arrival_interval_us:400. ~horizon_sec:horizon ()
+  Check.Crash.run ~cfg:(base_cfg ~mode ()) ~tpch_cfg:small_tpch
+    ~plan:{ Plan.none with Plan.seed = crash_seed; crash_at_us; hb_drop_pct; replica_crash_at_us }
+    ?early_ack ~arrival_interval_us:400. ~horizon_sec:horizon ()
 
 let repl (r : Runner.result) =
   match r.Runner.replication with
   | Some rs -> rs
   | None -> Alcotest.fail "run has no replication summary"
 
+let standby (o : Check.Crash.outcome) =
+  match o.Check.Crash.co_standby with
+  | Some c -> c
+  | None -> Alcotest.fail "replicated run has no standby cut"
+
 let fail_violations vs =
   Alcotest.failf "oracle violations:\n%s"
     (String.concat "\n"
        (List.map (fun v -> "  " ^ v.Check.Violation.detail) vs))
 
-let assert_clean (o : Check.Failover.outcome) =
-  if o.Check.Failover.fv_violations <> [] then
-    fail_violations o.Check.Failover.fv_violations
+let assert_clean (o : Check.Crash.outcome) =
+  if o.Check.Crash.co_violations <> [] then
+    fail_violations o.Check.Crash.co_violations
 
 (* -- Clean shipping ----------------------------------------------------------- *)
 
 let test_semi_sync_clean () =
   let o = oracle_run () in
   assert_clean o;
-  let rs = repl o.Check.Failover.fv_result in
+  let rs = repl o.Check.Crash.co_result in
   checkb "batches shipped" true (rs.Runner.rs_batches > 0);
   checkb "records shipped" true (rs.Runner.rs_records > 0);
   checkb "replica applied transactions" true (rs.Runner.rs_txns_applied > 0);
   checkb "no gaps on a clean channel" true (rs.Runner.rs_gaps = 0);
   checkb "no degrade" false rs.Runner.rs_degraded;
   checkb "no spurious suspicion" false rs.Runner.rs_detector_suspected;
-  checki "nothing lost" 0 o.Check.Failover.fv_acked_lost;
+  checki "nothing lost" 0 o.Check.Crash.co_acked_lost;
   checkb "commits flowed" true
-    (o.Check.Failover.fv_result.Runner.engine_stats.Storage.Engine.commits > 0)
+    (o.Check.Crash.co_result.Runner.engine_stats.Storage.Engine.commits > 0)
 
 let test_async_clean () =
   let o = oracle_run ~mode:Config.Repl_async () in
   assert_clean o;
-  let rs = repl o.Check.Failover.fv_result in
+  let rs = repl o.Check.Crash.co_result in
   checkb "replica applied transactions" true (rs.Runner.rs_txns_applied > 0);
   checkb "async never degrades" false rs.Runner.rs_degraded
 
@@ -80,23 +85,23 @@ let test_semi_sync_gates_acks () =
   assert_clean asy;
   let wait o =
     match
-      Runner.commit_wait_us o.Check.Failover.fv_result "NewOrder" ~pct:50.
+      Runner.commit_wait_us o.Check.Crash.co_result "NewOrder" ~pct:50.
     with
     | Some w -> w
     | None -> 0.
   in
   checkb "semi-sync commit waits are longer" true (wait semi > wait asy);
   checkb "parked commits under semi-sync" true
-    (semi.Check.Failover.fv_result.Runner.workers.Runner.dur_parks > 0)
+    (semi.Check.Crash.co_result.Runner.workers.Runner.dur_parks > 0)
 
 let test_replication_deterministic () =
   let a = oracle_run ~crash_at_us:3000. () in
   let b = oracle_run ~crash_at_us:3000. () in
-  let rs o = repl o.Check.Failover.fv_result in
+  let rs o = repl o.Check.Crash.co_result in
   checki "same shipped LSN" (rs a).Runner.rs_shipped_upto (rs b).Runner.rs_shipped_upto;
   checki "same applied LSN" (rs a).Runner.rs_applied_lsn (rs b).Runner.rs_applied_lsn;
   checkb "same failover outcome" true
-    (a.Check.Failover.fv_failover = b.Check.Failover.fv_failover)
+    (a.Check.Crash.co_failover = b.Check.Crash.co_failover)
 
 (* -- Lossy channels ----------------------------------------------------------- *)
 
@@ -105,7 +110,7 @@ let test_lossy_channel_naks_repair () =
      final state is still exact. *)
   let o = oracle_run ~hb_drop_pct:25 ~crash_seed:7L () in
   assert_clean o;
-  let rs = repl o.Check.Failover.fv_result in
+  let rs = repl o.Check.Crash.co_result in
   checkb "channel lost messages" true (rs.Runner.rs_ship_lost > 0);
   checkb "replica detected gaps" true (rs.Runner.rs_gaps > 0);
   checkb "shipper answered NAKs" true (rs.Runner.rs_naks > 0);
@@ -119,9 +124,9 @@ let test_moderate_loss_no_spurious_failover () =
      fire. *)
   let o = oracle_run ~hb_drop_pct:20 ~crash_seed:13L () in
   assert_clean o;
-  let rs = repl o.Check.Failover.fv_result in
+  let rs = repl o.Check.Crash.co_result in
   checkb "no spurious failover under loss" false rs.Runner.rs_detector_suspected;
-  checkb "no promotion" true (o.Check.Failover.fv_failover = None)
+  checkb "no promotion" true (o.Check.Crash.co_failover = None)
 
 let test_storm_no_spurious_failover () =
   (* senduipi storms hammer the interrupt fabric but never touch the
@@ -145,7 +150,7 @@ let test_storm_no_spurious_failover () =
 let test_primary_crash_promotes () =
   let o = oracle_run ~crash_at_us:5000. ~horizon:0.012 () in
   assert_clean o;
-  (match o.Check.Failover.fv_failover with
+  (match o.Check.Crash.co_failover with
   | None -> Alcotest.fail "primary crash did not promote the replica"
   | Some fo ->
     checkb "RTO measured from the crash" true (fo.Replication.Failover.fo_rto_us > 0.);
@@ -155,20 +160,31 @@ let test_primary_crash_promotes () =
     checkb "probe commits served" true (fo.Replication.Failover.fo_probe_commits > 0);
     checkb "promotion after detection" true
       (fo.Replication.Failover.fo_promoted_us >= fo.Replication.Failover.fo_detected_us));
-  checki "semi-sync RPO is zero" 0 o.Check.Failover.fv_acked_lost;
-  checkb "some commits survived" true (o.Check.Failover.fv_survived_commits > 0)
+  checki "semi-sync RPO is zero" 0 o.Check.Crash.co_acked_lost;
+  checkb "some commits survived" true ((standby o).Check.Crash.cut_kept > 0)
+
+(* A crash instant mid-burst: commits acknowledged on local durability are
+   still in the async shipping backlog when the primary dies. *)
+let mid_burst_us = 5626.
 
 let test_async_crash_bounded_rpo () =
-  (* Async acks on local durability: the crash may lose acked commits,
-     but only within the replication lag — and the oracle still passes
+  (* Async acks on local durability: the crash loses acked commits, but
+     only within the replication lag — and the oracle still passes
      because async promises no more. *)
-  let o = oracle_run ~mode:Config.Repl_async ~crash_at_us:5000. ~horizon:0.012 () in
+  let o = oracle_run ~mode:Config.Repl_async ~crash_at_us:mid_burst_us ~horizon:0.012 () in
   assert_clean o;
-  checkb "promoted" true (o.Check.Failover.fv_failover <> None);
-  checkb "async RPO is bounded by the shipped backlog" true
-    (o.Check.Failover.fv_acked_lost
-    <= o.Check.Failover.fv_acked - 0
-    && o.Check.Failover.fv_acked_lost >= 0)
+  checkb "promoted" true (o.Check.Crash.co_failover <> None);
+  checkb "async loses acked commits mid-burst" true (o.Check.Crash.co_acked_lost > 0);
+  checkb "async RPO is bounded by the lost backlog" true
+    (o.Check.Crash.co_acked_lost <= (standby o).Check.Crash.cut_lost)
+
+let test_semi_sync_crash_mid_burst () =
+  (* the same instant under semi-sync: the ack gate keeps RPO at 0 *)
+  let o = oracle_run ~crash_at_us:mid_burst_us ~horizon:0.012 () in
+  assert_clean o;
+  checkb "promoted" true (o.Check.Crash.co_failover <> None);
+  checkb "unshipped commits died with the primary" true ((standby o).Check.Crash.cut_lost > 0);
+  checki "semi-sync RPO is zero" 0 o.Check.Crash.co_acked_lost
 
 let test_crash_kills_primary_cleanly () =
   (* After the crash the primary generates nothing further: its workers
@@ -206,27 +222,27 @@ let test_total_hb_loss_triggers_failover () =
      locally), and after the miss budget the replica promotes. *)
   let o = oracle_run ~hb_drop_pct:100 ~crash_seed:19L ~horizon:0.012 () in
   assert_clean o;
-  let rs = repl o.Check.Failover.fv_result in
+  let rs = repl o.Check.Crash.co_result in
   checkb "semi-sync degraded" true rs.Runner.rs_degraded;
   checkb "detector fired" true rs.Runner.rs_detector_suspected;
-  checkb "replica promoted" true (o.Check.Failover.fv_failover <> None)
+  checkb "replica promoted" true (o.Check.Crash.co_failover <> None)
 
 (* -- Replica crash ------------------------------------------------------------ *)
 
 let test_replica_crash_degrades () =
   let o = oracle_run ~replica_crash_at_us:3000. ~horizon:0.012 () in
   assert_clean o;
-  let rs = repl o.Check.Failover.fv_result in
+  let rs = repl o.Check.Crash.co_result in
   checkb "semi-sync degraded to async" true rs.Runner.rs_degraded;
   checkb "commits kept flowing after the degrade" true
-    (o.Check.Failover.fv_result.Runner.engine_stats.Storage.Engine.commits > 0);
-  checkb "no promotion of a dead replica" true (o.Check.Failover.fv_failover = None)
+    (o.Check.Crash.co_result.Runner.engine_stats.Storage.Engine.commits > 0);
+  checkb "no promotion of a dead replica" true (o.Check.Crash.co_failover = None)
 
 (* -- The oracle's self-test --------------------------------------------------- *)
 
 let test_early_ack_caught () =
   let o = oracle_run ~early_ack:true ~crash_at_us:5000. ~horizon:0.012 () in
-  checkb "the lying daemon is caught" true (o.Check.Failover.fv_violations <> [])
+  checkb "the lying daemon is caught" true (o.Check.Crash.co_violations <> [])
 
 let () =
   Alcotest.run "replication"
@@ -251,6 +267,8 @@ let () =
         [
           Alcotest.test_case "primary crash promotes" `Slow test_primary_crash_promotes;
           Alcotest.test_case "async crash: bounded RPO" `Slow test_async_crash_bounded_rpo;
+          Alcotest.test_case "semi-sync crash mid-burst: RPO 0" `Slow
+            test_semi_sync_crash_mid_burst;
           Alcotest.test_case "crash kills the primary cleanly" `Slow
             test_crash_kills_primary_cleanly;
           Alcotest.test_case "total heartbeat loss fails over" `Slow
